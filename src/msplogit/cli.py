@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .inference import attach_se
-from .likelihood import env_threads
 from .model import Cluster, ClusteredDataset, DataError, psi_names
 from .optimize import FitError, FitOptions, FitResult, fit
 from .simulate import (
@@ -111,7 +110,6 @@ class RunConfig:
             beta_max=self.beta_max,
             psi_max=self.psi_max,
             se_max=self.se_max,
-            threads=env_threads(),
         )
 
     def beta_names(self) -> list[str]:

@@ -94,8 +94,7 @@ def wald_se(data: ClusteredDataset, fit_result: FitResult) -> WaldSE:
     """
     options = fit_result.options
     evaluator = LoglikEvaluator(
-        data, options.resolve_approx(data.q), _make_rule(options, data.q),
-        threads=options.threads,
+        data, options.resolve_approx(data.q), _make_rule(options, data.q)
     )
     p = data.p
 

@@ -41,8 +41,6 @@ log-sum-exp with exponent values taken relative to the mode.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +60,6 @@ __all__ = [
     "laplace_loglik",
     "laplace_cluster_logprobs",
     "LoglikEvaluator",
-    "env_threads",
 ]
 
 MODE_GRAD_TOL = 1e-10  # u-space tolerance of the public mode finder
@@ -76,18 +73,6 @@ MODE_MAX_ITER = 200
 # keeps a single iteration from jumping to an overflow-prone scale when
 # the curvature has underflown.
 MODE_MAX_STEP = 100.0
-
-THREADS_ENV_VAR = "MSPLOGIT_THREADS"
-
-
-def env_threads() -> int:
-    """Worker count requested through the environment (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 class ModeFindingError(RuntimeError):
     """Newton iteration for a cluster mode failed to converge.
@@ -301,62 +286,80 @@ def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
     )
 
 
-def _mode_v_general(cluster: Cluster, xb: np.ndarray, A: np.ndarray, v0=None):
-    """Mode of gt(v) = condloglik(xb + A v) - ||v||^2/2 for one cluster.
+def _modes_general(data: ClusteredDataset, xb: np.ndarray, A: np.ndarray, v0=None):
+    """All cluster modes at once for any q, in the standardized scale.
 
-    A = Z L; the curvature A'WA + I is at least the identity, so the
+    Maximizes gt_i(v) = condloglik(xb + A v) - ||v||^2/2 per cluster,
+    with A = Z L row by row, by damped Newton on the stacked (k, q)
+    iterates.  The curvature A'WA + I is at least the identity, so the
     solve stays well-conditioned for any covariance, including nearly
-    singular ones.
+    singular ones.  Each cluster keeps its own damping factor and stops
+    on its own: once its gradient norm is below ``MODE_GRAD_TOL_V``, or
+    once no damped step increases its gt_i.  Returns (v_hat, gt(v_hat),
+    curvature) of shapes (k, q), (k,) and (k, q, q).
     """
-    q = A.shape[1]
+    offs = data.row_offsets
+    idx = data.row_cluster
+    y = data.y
+    k, q = data.k, A.shape[1]
+    eye = np.eye(q)
+    AA = A[:, :, None] * A[:, None, :]
 
-    def g_of(v_vec):
-        eta = xb + A @ v_vec
-        return float(np.sum(cluster.y * eta - np.logaddexp(0.0, eta)) - 0.5 * v_vec @ v_vec)
+    def eta_of(v):
+        return xb + np.einsum("rj,rj->r", A, v[idx])
 
-    v = np.zeros(q) if v0 is None else np.array(v0, dtype=float)
-    g = g_of(v)
-    if v0 is not None:
-        g0 = g_of(np.zeros(q))
-        if not g >= g0:
-            v = np.zeros(q)
-            g = g0
-    lam = 0.0
-    grad = None
+    def g_all(v):
+        eta = eta_of(v)
+        return _segsum(y * eta - np.logaddexp(0.0, eta), offs) - 0.5 * np.einsum("ij,ij->i", v, v)
+
+    def score_curvature(v):
+        mu = expit(eta_of(v))
+        grad = _segsum(A * (y - mu)[:, None], offs) - v
+        H = _segsum((mu * (1.0 - mu))[:, None, None] * AA, offs) + eye
+        return grad, H
+
+    if v0 is None:
+        v = np.zeros((k, q))
+        g = g_all(v)
+    else:
+        # As for q = 1: keep the warm start only where it beats v = 0.
+        v = np.array(v0, dtype=float)
+        g = g_all(v)
+        g0 = g_all(np.zeros((k, q)))
+        worse = ~(g >= g0)
+        v[worse] = 0.0
+        g[worse] = g0[worse]
+    lam = np.zeros(k)
+    stalled = np.zeros(k, dtype=bool)
     for _ in range(MODE_MAX_ITER):
-        eta = xb + A @ v
-        mu = expit(eta)
-        grad = A.T @ (cluster.y - mu) - v
-        w = mu * (1.0 - mu)
-        H = A.T @ (w[:, None] * A) + np.eye(q)
-        if np.linalg.norm(grad) < MODE_GRAD_TOL_V:
-            return v, H
-        accepted = False
-        for _ in range(60):
-            step = np.linalg.solve(H + lam * np.eye(q), grad)
-            norm = np.linalg.norm(step)
-            if norm > MODE_MAX_STEP:
-                step = step * (MODE_MAX_STEP / norm)
-            g_new = g_of(v + step)
-            if g_new >= g - 1e-12 * (1.0 + abs(g)):
-                v = v + step
-                g = g_new
-                lam = lam / 10.0 if lam > 1e-12 else 0.0
-                accepted = True
-                break
-            lam = max(lam * 10.0, 1e-4)
-        if not accepted:
+        grad, H = score_curvature(v)
+        pending = ~stalled & (np.linalg.norm(grad, axis=1) >= MODE_GRAD_TOL_V)
+        if not pending.any():
             break
-    eta = xb + A @ v
-    mu = expit(eta)
-    grad = A.T @ (cluster.y - mu) - v
-    H = A.T @ ((mu * (1.0 - mu))[:, None] * A) + np.eye(q)
-    if np.linalg.norm(grad) < MODE_GRAD_ESCAPE:
-        return v, H
+        for _ in range(60):
+            step = np.linalg.solve(H + lam[:, None, None] * eye, grad[:, :, None])[:, :, 0]
+            norm = np.linalg.norm(step, axis=1)
+            step *= (MODE_MAX_STEP / np.maximum(norm, MODE_MAX_STEP))[:, None]
+            step[~pending] = 0.0
+            g_cand = g_all(v + step)
+            ok = pending & (g_cand >= g - 1e-12 * (1.0 + np.abs(g)))
+            v[ok] += step[ok]
+            g[ok] = g_cand[ok]
+            lam[ok] = np.where(lam[ok] > 1e-12, lam[ok] / 10.0, 0.0)
+            pending &= ~ok
+            if not pending.any():
+                break
+            lam[pending] = np.maximum(lam[pending] * 10.0, 1e-4)
+        stalled |= pending  # no damped step helped: machine precision
+    else:
+        grad, H = score_curvature(v)
+    grad_norm = np.linalg.norm(grad, axis=1)
+    if grad_norm.max() < MODE_GRAD_ESCAPE:
+        return v, g, H
     raise ModeFindingError(
-        f"cluster mode did not reach gradient norm {MODE_GRAD_TOL_V}",
+        f"cluster modes did not reach gradient norm {MODE_GRAD_TOL_V}",
         last_iterate=v,
-        grad_norm=float(np.linalg.norm(grad)),
+        grad_norm=float(grad_norm.max()),
     )
 
 
@@ -433,51 +436,28 @@ def _laplace_q1(data: ClusteredDataset, theta: Theta, warm=None):
     return g_mode - 0.5 * np.log(hess) + log_s_over_sigma, v
 
 
-def laplace_cluster_logprobs(
-    data: ClusteredDataset,
-    theta: Theta,
-    warm=None,
-    threads: int = 1,
-):
+def laplace_cluster_logprobs(data: ClusteredDataset, theta: Theta, warm=None):
     """Per-cluster log probability masses under the Laplace approximation.
 
-    Returns (logprobs, warm_state).  Cluster evaluations are
-    independent and may run on a thread pool; the reduction is always
-    in cluster order.
+    Returns (logprobs, warm_state).  All clusters are solved together:
+    q = 1 by the scalar solver shared with quadrature, q >= 2 by the
+    stacked solver in the standardized scale.
     """
     if data.q == 1:
         return _laplace_q1(data, theta, warm)
-    L = psi_to_chol(theta.psi, theta.q)
-    xb_all = data.X @ theta.beta
-    offs = data.row_offsets
-    starts = warm if warm is not None else [None] * data.k
-
-    def one(i):
-        cluster = data.clusters[i]
-        xb = xb_all[offs[i]:offs[i + 1]]
-        A = cluster.Z @ L
-        v, H = _mode_v_general(cluster, xb, A, starts[i])
-        eta = xb + A @ v
-        g = float(np.sum(cluster.y * eta - np.logaddexp(0.0, eta)) - 0.5 * v @ v)
-        # log det(Z'WZ + Sigma^{-1}) + log det(Sigma) telescopes to
-        # log det(A'WA + I), so the -k/2 log det Sigma term is already
-        # absorbed here.
-        half_logdet = float(np.sum(np.log(np.diag(np.linalg.cholesky(H)))))
-        return g - half_logdet, v
-
-    if threads > 1 and data.k > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(data.k)))
-    else:
-        results = [one(i) for i in range(data.k)]
-    logprobs = np.array([r[0] for r in results])
-    modes = [r[1] for r in results]
-    return logprobs, modes
+    A = data.Z @ psi_to_chol(theta.psi, theta.q)
+    xb = data.X @ theta.beta
+    v, g, H = _modes_general(data, xb, A, warm)
+    # log det(Z'WZ + Sigma^{-1}) + log det(Sigma) telescopes to
+    # log det(A'WA + I), so the -k/2 log det Sigma term is already
+    # absorbed here.
+    half_logdet = np.log(np.diagonal(np.linalg.cholesky(H), axis1=1, axis2=2)).sum(axis=1)
+    return g - half_logdet, v
 
 
-def laplace_loglik(data: ClusteredDataset, theta: Theta, threads: int = 1) -> float:
+def laplace_loglik(data: ClusteredDataset, theta: Theta) -> float:
     """Laplace approximation of the marginal log-likelihood (any q >= 1)."""
-    logprobs, _ = laplace_cluster_logprobs(data, theta, threads=threads)
+    logprobs, _ = laplace_cluster_logprobs(data, theta)
     return float(logprobs.sum())
 
 
@@ -496,7 +476,6 @@ class LoglikEvaluator:
         data: ClusteredDataset,
         approx: str = "auto",
         rule: QuadratureRule | None = None,
-        threads: int = 1,
     ):
         if approx == "auto":
             approx = "agq" if data.q == 1 else "laplace"
@@ -509,16 +488,13 @@ class LoglikEvaluator:
         self.data = data
         self.approx = approx
         self.rule = rule
-        self.threads = threads
         self._warm = None
 
     def cluster_logprobs(self, theta: Theta) -> np.ndarray:
         if self.approx == "agq":
             logprobs, warm = agq_cluster_logprobs(self.data, theta, self.rule, self._warm)
         else:
-            logprobs, warm = laplace_cluster_logprobs(
-                self.data, theta, self._warm, threads=self.threads
-            )
+            logprobs, warm = laplace_cluster_logprobs(self.data, theta, self._warm)
         self._warm = warm
         return logprobs
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "DataError",
@@ -326,16 +325,6 @@ def conditional_loglik(cluster: Cluster, beta: np.ndarray, u: np.ndarray) -> flo
         raise ValueError(f"u must have length {cluster.Z.shape[1]}, got {u.shape}")
     eta = cluster.X @ beta + cluster.Z @ u
     return float(np.sum(cluster.y * eta - np.logaddexp(0.0, eta)))
-
-
-def bernoulli_loglik(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Per-observation Bernoulli log-likelihood terms, overflow safe."""
-    return y * eta - np.logaddexp(0.0, eta)
-
-
-def mean_function(eta: np.ndarray) -> np.ndarray:
-    """Logistic mean, exposed for reuse by the likelihood and penalties."""
-    return expit(eta)
 
 
 def psi_names(q: int) -> list[str]:

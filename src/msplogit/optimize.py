@@ -84,7 +84,6 @@ class FitOptions:
     beta_max: float = 15.0
     psi_max: float = 10.0
     se_max: float = 50.0
-    threads: int = 1
 
     def __post_init__(self):
         if self.method not in ("ml", "mspl"):
@@ -160,8 +159,7 @@ def objective(
     """ML objective: approximate loglik; MSPL: loglik plus scaled penalty."""
     if evaluator is None:
         evaluator = LoglikEvaluator(
-            data, options.resolve_approx(data.q), _make_rule(options, data.q),
-            threads=options.threads,
+            data, options.resolve_approx(data.q), _make_rule(options, data.q)
         )
     value = evaluator.loglik(theta)
     if options.method == "mspl":
@@ -279,19 +277,25 @@ def _start_theta(data: ClusteredDataset, options: FitOptions) -> Theta:
 
 
 class _Memo:
-    """Remembers the most recent evaluation so callbacks are free."""
+    """Remembers the ``size`` most recently used evaluations.
 
-    def __init__(self, fn):
+    One entry makes callbacks at the latest point free.
+    """
+
+    def __init__(self, fn, size=1):
         self.fn = fn
-        self._x = None
-        self._f = None
+        self.size = size
+        self._entries = []  # (x, f), most recently used last
 
     def __call__(self, x):
-        if self._x is not None and np.array_equal(x, self._x):
-            return self._f
-        self._f = self.fn(x)
-        self._x = np.array(x, copy=True)
-        return self._f
+        for i, (x_seen, f) in enumerate(self._entries):
+            if np.array_equal(x, x_seen):
+                self._entries.append(self._entries.pop(i))
+                return f
+        f = self.fn(x)
+        self._entries.append((np.array(x, copy=True), f))
+        del self._entries[:-self.size]
+        return f
 
 
 def _boundary_flags(theta: Theta, options: FitOptions) -> np.ndarray:
@@ -348,11 +352,10 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
 
     Returns a ``FitResult`` in all non-exceptional cases; failure to
     converge is reported through ``converged``, never as an exception.
-    A breakdown of the likelihood evaluation itself raises ``FitError``.
+    A breakdown of the objective or gradient evaluation raises ``FitError``.
     """
     evaluator = LoglikEvaluator(
-        data, options.resolve_approx(data.q), _make_rule(options, data.q),
-        threads=options.threads,
+        data, options.resolve_approx(data.q), _make_rule(options, data.q)
     )
     p = data.p
     mspl = options.method == "mspl"
@@ -369,11 +372,15 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
                 return -np.inf
         return value
 
-    def gradient_vec(v):
+    def gradient(v):
         grad = numeric_gradient(loglik_vec, v, options.fd_step_scale)
         if mspl:
             grad = grad + composite_penalty(data, Theta.from_vector(v, p)).gradient
         return grad
+
+    # Where the BFGS line search collapses, it alternates between its
+    # base point and a trial point; two entries serve both repeats.
+    gradient_vec = _Memo(gradient, size=2)
 
     memo = _Memo(lambda v: -objective_vec(v))
     neg_grad = lambda v: -gradient_vec(v)
@@ -426,11 +433,11 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
             )
             iterations += polish_steps
             f_best = -objective_vec(x_best)
-    except ModeFindingError as err:
-        raise FitError(f"likelihood evaluation failed: {err}") from err
+        theta_hat = Theta.from_vector(x_best, p)
+        loglik_hat = evaluator.loglik(theta_hat)
+    except (ModeFindingError, GradientError, SingularInformationError) as err:
+        raise FitError(f"objective evaluation failed: {err}") from err
 
-    theta_hat = Theta.from_vector(x_best, p)
-    loglik_hat = evaluator.loglik(theta_hat)
     penalized = float(-f_best)
     converged = bool(grad_norm <= options.grad_tol)
     return FitResult(

@@ -21,6 +21,7 @@ platforms.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.special import expit
 
 from .inference import attach_se, normal_quantile
-from .likelihood import ModeFindingError, env_threads
+from .likelihood import ModeFindingError
 from .model import ClusteredDataset, Theta, psi_to_chol
 from .optimize import FitError, FitOptions, _boundary_flags, _se_flags, fit
 
@@ -52,6 +53,17 @@ COVERAGE_LEVEL = 0.95
 
 DISCARD_REASONS = ("unconverged", "exception", "beta_flag", "psi_flag", "se_flag")
 REASONS = DISCARD_REASONS + ("se_unavailable",)
+
+THREADS_ENV_VAR = "MSPLOGIT_THREADS"
+
+
+def env_threads() -> int:
+    """Study worker count requested through the environment (default 1)."""
+    raw = os.environ.get(THREADS_ENV_VAR, "")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        return 1
 
 
 @dataclass(frozen=True)

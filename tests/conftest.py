@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from msplogit.model import Cluster, ClusteredDataset, Theta
+from msplogit.penalties import SingularInformationError, composite_penalty
 
 
 def make_dataset(k=3, n_i=4, p=2, q=1, seed=0, beta=None, psi=None):
@@ -51,6 +52,20 @@ def degenerate_slope_dataset(seed=4, k=8, n_i=8):
         y = (rng.random(n_i) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         clusters.append(Cluster(y, X, X.copy()))
     return ClusteredDataset(tuple(clusters))
+
+
+class _PenaltyWithoutGradient:
+    def __init__(self, value):
+        self.value = value
+
+    @property
+    def gradient(self):
+        raise SingularInformationError("information matrix is singular")
+
+
+def penalty_without_gradient(data, theta):
+    """``composite_penalty`` whose gradient fails, as on underflowed weights."""
+    return _PenaltyWithoutGradient(composite_penalty(data, theta).value)
 
 
 @pytest.fixture(scope="session")

@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 from scipy.special import expit, logsumexp
 
+import msplogit.likelihood as likelihood
 from msplogit.likelihood import (
+    MODE_GRAD_ESCAPE,
+    MODE_GRAD_TOL_V,
+    MODE_MAX_STEP,
     LoglikEvaluator,
+    ModeFindingError,
     agq_cluster_logprobs,
     agq_loglik,
     cluster_mode,
     gauss_hermite_rule,
+    laplace_cluster_logprobs,
     laplace_loglik,
 )
-from msplogit.model import Cluster, Theta, psi_to_sigma
+from msplogit.model import Cluster, Theta, psi_to_chol, psi_to_sigma
 
 from conftest import make_dataset
 
@@ -238,10 +244,118 @@ class TestLaplaceLoglik:
         assert tensor_grid_loglik(data, theta, Q=90) == pytest.approx(oracle, abs=1e-9)
         assert laplace_loglik(data, theta) == pytest.approx(oracle, abs=1e-6)
 
-    def test_threaded_reduction_matches_serial(self):
-        data = make_dataset(k=6, n_i=4, p=2, q=2, seed=2)
-        theta = _theta([0.1, -0.3], [0.2, -0.1, 0.4])
-        assert laplace_loglik(data, theta, threads=3) == laplace_loglik(data, theta)
+
+def loop_mode_v(cluster, xb, A, v0=None):
+    """Reference inner solver: one cluster at a time, damped Newton.
+
+    Maximizes gt(v) = condloglik(xb + A v) - ||v||^2/2 with A = Z L,
+    with the guards of the stacked solver: warm-start rejection against
+    v = 0, the step-norm cap, the acceptance test, the damping factor,
+    the gradient tolerance, the stall escape and ``ModeFindingError``.
+    """
+    q = A.shape[1]
+
+    def g_of(v_vec):
+        eta = xb + A @ v_vec
+        return float(np.sum(cluster.y * eta - np.logaddexp(0.0, eta)) - 0.5 * v_vec @ v_vec)
+
+    v = np.zeros(q) if v0 is None else np.array(v0, dtype=float)
+    g = g_of(v)
+    if v0 is not None:
+        g0 = g_of(np.zeros(q))
+        if not g >= g0:
+            v = np.zeros(q)
+            g = g0
+    lam = 0.0
+    for _ in range(likelihood.MODE_MAX_ITER):
+        mu = expit(xb + A @ v)
+        grad = A.T @ (cluster.y - mu) - v
+        H = A.T @ ((mu * (1.0 - mu))[:, None] * A) + np.eye(q)
+        if np.linalg.norm(grad) < MODE_GRAD_TOL_V:
+            return v, H
+        accepted = False
+        for _ in range(60):
+            step = np.linalg.solve(H + lam * np.eye(q), grad)
+            norm = np.linalg.norm(step)
+            if norm > MODE_MAX_STEP:
+                step = step * (MODE_MAX_STEP / norm)
+            g_new = g_of(v + step)
+            if g_new >= g - 1e-12 * (1.0 + abs(g)):
+                v = v + step
+                g = g_new
+                lam = lam / 10.0 if lam > 1e-12 else 0.0
+                accepted = True
+                break
+            lam = max(lam * 10.0, 1e-4)
+        if not accepted:
+            break
+    mu = expit(xb + A @ v)
+    grad = A.T @ (cluster.y - mu) - v
+    H = A.T @ ((mu * (1.0 - mu))[:, None] * A) + np.eye(q)
+    if np.linalg.norm(grad) < MODE_GRAD_ESCAPE:
+        return v, H
+    raise ModeFindingError("reference cluster mode did not converge")
+
+
+def loop_laplace_logprobs(data, theta, warm=None):
+    """Reference per-cluster Laplace values from ``loop_mode_v``."""
+    L = psi_to_chol(theta.psi, theta.q)
+    logprobs, modes = [], []
+    for i, c in enumerate(data.clusters):
+        xb = c.X @ theta.beta
+        A = c.Z @ L
+        v, H = loop_mode_v(c, xb, A, None if warm is None else warm[i])
+        eta = xb + A @ v
+        g = float(np.sum(c.y * eta - np.logaddexp(0.0, eta)) - 0.5 * v @ v)
+        logprobs.append(g - np.sum(np.log(np.diag(np.linalg.cholesky(H)))))
+        modes.append(v)
+    return np.array(logprobs), np.array(modes)
+
+
+# Moderate, near-singular slope (log l22 = -12), huge sigma (e^5) and a
+# correlation of about 0.9999 between intercept and slope.
+PSI_GRID = [
+    [0.2, -0.1, 0.4],
+    [0.0, -12.0, 0.0],
+    [5.0, 5.0, 0.3],
+    [0.5, -2.0, 10.0],
+    [-12.0, -12.0, 0.0],
+]
+
+
+class TestStackedLaplaceSolver:
+    @pytest.mark.parametrize("psi", PSI_GRID)
+    def test_matches_cluster_loop(self, psi):
+        rng = np.random.default_rng(5)
+        for seed in range(4):
+            data = make_dataset(k=12, n_i=6, p=2, q=2, seed=seed)
+            theta = _theta(rng.normal(size=2), psi)
+            logprobs, modes = laplace_cluster_logprobs(data, theta)
+            ref, ref_modes = loop_laplace_logprobs(data, theta)
+            assert np.abs(logprobs - ref).max() <= 1e-12
+            assert modes.shape == (data.k, 2)
+
+    def test_three_dimensional_effects_match_cluster_loop(self):
+        data = make_dataset(k=8, n_i=7, p=2, q=3, seed=4)
+        theta = _theta([0.3, -0.2], [0.1, -0.5, -3.0, 0.4, -0.2, 0.7])
+        logprobs, _ = laplace_cluster_logprobs(data, theta)
+        assert np.abs(logprobs - loop_laplace_logprobs(data, theta)[0]).max() <= 1e-12
+
+    def test_far_warm_start_gives_cold_values(self):
+        data = make_dataset(k=10, n_i=6, p=2, q=2, seed=7)
+        far = _theta([4.0, -3.0], [5.0, 5.0, -2.0])
+        near = _theta([0.2, 0.1], [-0.3, -6.0, 0.2])
+        _, warm = laplace_cluster_logprobs(data, far)
+        warm_values, _ = laplace_cluster_logprobs(data, near, warm)
+        cold_values, _ = laplace_cluster_logprobs(data, near)
+        assert np.abs(warm_values - cold_values).max() <= 1e-12
+        assert np.abs(warm_values - loop_laplace_logprobs(data, near, warm)[0]).max() <= 1e-12
+
+    def test_stall_raises(self, monkeypatch):
+        data = make_dataset(k=4, n_i=6, p=2, q=2, seed=1)
+        monkeypatch.setattr(likelihood, "MODE_MAX_ITER", 1)
+        with pytest.raises(ModeFindingError):
+            laplace_cluster_logprobs(data, _theta([0.3, -0.4], [5.0, 5.0, 0.0]))
 
 
 class TestEvaluator:

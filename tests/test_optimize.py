@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import msplogit.optimize as optimize
 from msplogit.likelihood import LoglikEvaluator, gauss_hermite_rule
 from msplogit.model import Theta
 from msplogit.optimize import (
+    FitError,
     FitOptions,
     GradientError,
     fit,
@@ -14,7 +16,7 @@ from msplogit.optimize import (
 )
 from msplogit.penalties import composite_penalty
 
-from conftest import make_dataset, separation_dataset
+from conftest import make_dataset, penalty_without_gradient, separation_dataset
 
 
 class TestFitOptions:
@@ -201,6 +203,39 @@ class TestFit:
         )
         other = fit(culcita_reduced, FitOptions(method="mspl", quadrature=100, start=shifted_start))
         assert np.abs(base.theta.as_vector() - other.theta.as_vector()).max() < 1e-4
+
+    def test_no_gradient_evaluated_twice_in_a_row(self, monkeypatch):
+        points = []
+
+        def recording_gradient(f, x, *args):
+            points.append(np.array(x, copy=True))
+            return numeric_gradient(f, x, *args)
+
+        monkeypatch.setattr(optimize, "numeric_gradient", recording_gradient)
+        data = make_dataset(k=4, n_i=5, p=2, seed=12, beta=[0.2, 0.4], psi=[-0.2])
+        fit(data, FitOptions(method="mspl", quadrature=25))
+        assert len(points) >= 2
+        assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+
+    def test_two_entry_memo_serves_alternating_points(self):
+        calls = []
+        memo = optimize._Memo(lambda x: calls.append(x[0]) or 2.0 * x[0], size=2)
+        for x in (1.0, 2.0, 1.0, 3.0, 1.0, 2.0):
+            assert memo(np.array([x])) == 2.0 * x
+        assert calls == [1.0, 2.0, 3.0, 2.0]
+
+    @pytest.mark.parametrize("failure", ["likelihood_gradient", "penalty_gradient"])
+    def test_gradient_failures_raise_fit_error(self, monkeypatch, failure):
+        if failure == "likelihood_gradient":
+            def failing_gradient(f, x, *args):
+                raise GradientError("non-finite objective while probing coordinate 0")
+
+            monkeypatch.setattr(optimize, "numeric_gradient", failing_gradient)
+        else:
+            monkeypatch.setattr(optimize, "composite_penalty", penalty_without_gradient)
+        data = make_dataset(k=4, n_i=5, p=2, seed=12, beta=[0.2, 0.4], psi=[-0.2])
+        with pytest.raises(FitError):
+            fit(data, FitOptions(method="mspl", quadrature=25))
 
     def test_parameter_names(self):
         data = make_dataset(k=2, n_i=4, p=2, q=2, seed=0)

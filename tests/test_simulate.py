@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import msplogit.optimize as optimize
 from msplogit.model import Cluster, ClusteredDataset, Theta
 from msplogit.optimize import FitOptions
 from msplogit.simulate import (
@@ -14,7 +15,7 @@ from msplogit.simulate import (
     simulate_responses,
 )
 
-from conftest import make_dataset, separation_dataset
+from conftest import make_dataset, penalty_without_gradient, separation_dataset
 
 
 def _rng(seed=0):
@@ -179,6 +180,13 @@ class TestRunStudy:
         for reason in REASONS:
             assert ml.discarded[reason] == sum(reason in rec.reasons for rec in discarded)
         assert 6 - ml.retained <= sum(ml.discarded[r] for r in DISCARD_REASONS)
+
+    def test_failed_penalty_gradient_is_an_exception_record(self, monkeypatch):
+        monkeypatch.setattr(optimize, "composite_penalty", penalty_without_gradient)
+        [record] = run_replication(small_design(R=1), 0)
+        assert record.reasons == {"exception"}
+        assert np.isnan(record.estimates).all()
+        assert np.isnan(record.ses).all()
 
     def test_design_validation(self):
         with pytest.raises(ValueError):
