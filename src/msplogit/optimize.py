@@ -277,25 +277,19 @@ def _start_theta(data: ClusteredDataset, options: FitOptions) -> Theta:
 
 
 class _Memo:
-    """Remembers the ``size`` most recently used evaluations.
+    """Remembers the most recent evaluation so callbacks are free."""
 
-    One entry makes callbacks at the latest point free.
-    """
-
-    def __init__(self, fn, size=1):
+    def __init__(self, fn):
         self.fn = fn
-        self.size = size
-        self._entries = []  # (x, f), most recently used last
+        self._x = None
+        self._f = None
 
     def __call__(self, x):
-        for i, (x_seen, f) in enumerate(self._entries):
-            if np.array_equal(x, x_seen):
-                self._entries.append(self._entries.pop(i))
-                return f
-        f = self.fn(x)
-        self._entries.append((np.array(x, copy=True), f))
-        del self._entries[:-self.size]
-        return f
+        if self._x is not None and np.array_equal(x, self._x):
+            return self._f
+        self._f = self.fn(x)
+        self._x = np.array(x, copy=True)
+        return self._f
 
 
 def _boundary_flags(theta: Theta, options: FitOptions) -> np.ndarray:
@@ -372,15 +366,20 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
                 return -np.inf
         return value
 
-    def gradient(v):
-        grad = numeric_gradient(loglik_vec, v, options.fd_step_scale)
-        if mspl:
-            grad = grad + composite_penalty(data, Theta.from_vector(v, p)).gradient
-        return grad
+    # Every gradient of the fit is kept. When SciPy's BFGS falls back from
+    # its first line search to its second, it asks again for trial points
+    # of the first; a recomputed gradient there differs by the inner
+    # solver's warm-start noise, and the line search stalls more often.
+    gradients = {}
 
-    # Where the BFGS line search collapses, it alternates between its
-    # base point and a trial point; two entries serve both repeats.
-    gradient_vec = _Memo(gradient, size=2)
+    def gradient_vec(v):
+        key = np.asarray(v, dtype=float).tobytes()
+        if key not in gradients:
+            grad = numeric_gradient(loglik_vec, v, options.fd_step_scale)
+            if mspl:
+                grad = grad + composite_penalty(data, Theta.from_vector(v, p)).gradient
+            gradients[key] = grad
+        return gradients[key]
 
     memo = _Memo(lambda v: -objective_vec(v))
     neg_grad = lambda v: -gradient_vec(v)

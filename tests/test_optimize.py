@@ -204,25 +204,20 @@ class TestFit:
         other = fit(culcita_reduced, FitOptions(method="mspl", quadrature=100, start=shifted_start))
         assert np.abs(base.theta.as_vector() - other.theta.as_vector()).max() < 1e-4
 
-    def test_no_gradient_evaluated_twice_in_a_row(self, monkeypatch):
+    def test_no_gradient_evaluated_twice(self, monkeypatch):
         points = []
 
         def recording_gradient(f, x, *args):
-            points.append(np.array(x, copy=True))
+            points.append(np.array(x, copy=True).tobytes())
             return numeric_gradient(f, x, *args)
 
         monkeypatch.setattr(optimize, "numeric_gradient", recording_gradient)
-        data = make_dataset(k=4, n_i=5, p=2, seed=12, beta=[0.2, 0.4], psi=[-0.2])
-        fit(data, FitOptions(method="mspl", quadrature=25))
+        # On this fit SciPy's BFGS falls back to its second line search,
+        # which evaluates trial points of the first one again.
+        data = make_dataset(k=60, n_i=8, p=2, q=2, seed=17, beta=[0.3, -0.6], psi=[0.0, -2.3, 0.0])
+        fit(data, FitOptions(method="mspl"))
         assert len(points) >= 2
-        assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
-
-    def test_two_entry_memo_serves_alternating_points(self):
-        calls = []
-        memo = optimize._Memo(lambda x: calls.append(x[0]) or 2.0 * x[0], size=2)
-        for x in (1.0, 2.0, 1.0, 3.0, 1.0, 2.0):
-            assert memo(np.array([x])) == 2.0 * x
-        assert calls == [1.0, 2.0, 3.0, 2.0]
+        assert len(set(points)) == len(points)
 
     @pytest.mark.parametrize("failure", ["likelihood_gradient", "penalty_gradient"])
     def test_gradient_failures_raise_fit_error(self, monkeypatch, failure):
