@@ -21,16 +21,16 @@ Exit codes: 0 converged and clean, 2 input or configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .datasets import culcita_columns, culcita_path, load_csv
 from .inference import attach_se
-from .model import Cluster, ClusteredDataset, DataError, psi_names
-from .optimize import FitError, FitOptions, FitResult, fit
+from .model import DataError, Theta
+from .optimize import FitError, FitOptions, FitResult, fit, parameter_names
 from .simulate import (
     DEFAULT_PERCENTILES,
     REASONS,
@@ -39,10 +39,10 @@ from .simulate import (
     percentile_table,
     run_study,
 )
-from .model import Theta
 
 __all__ = [
     "RunConfig",
+    "culcita_config",
     "load_csv",
     "run",
     "main",
@@ -119,90 +119,11 @@ class RunConfig:
         return (["intercept"] if self.intercept else []) + list(self.random)
 
 
-def load_csv(path: str, config: RunConfig) -> ClusteredDataset:
-    """Read a UTF-8 CSV with a header row into a clustered dataset.
-
-    Rows are grouped by the cluster column in order of first
-    appearance.  When ``config.intercept`` is set, a column of ones is
-    prepended to both the fixed-effects and the random-effects designs.
-    Structural problems raise ``DataError`` naming the offending line.
-    """
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as err:
-        raise DataError(f"cannot open {path}: {err}") from err
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        needed = [config.response, config.cluster] + config.fixed + config.random
-        for col in needed:
-            if col not in header:
-                raise DataError(f"{path}: column {col!r} not found in header")
-        col_idx = {name: header.index(name) for name in needed}
-
-        labels: list[str] = []
-        groups: dict[str, list[tuple[float, list[float], list[float]]]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
-
-            def cell(col):
-                return row[col_idx[col]].strip()
-
-            raw = cell(config.response)
-            try:
-                resp = float(raw)
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: response {raw!r} is not a number"
-                ) from None
-            if resp not in (0.0, 1.0):
-                raise DataError(f"{path}: line {lineno}: response {raw!r} is not 0 or 1")
-
-            def covariate(col):
-                text = cell(col)
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {lineno}: column {col!r} value {text!r} is not numeric"
-                    ) from None
-                if not np.isfinite(value):
-                    raise DataError(
-                        f"{path}: line {lineno}: column {col!r} value {text!r} is not finite"
-                    )
-                return value
-
-            xrow = ([1.0] if config.intercept else []) + [covariate(c) for c in config.fixed]
-            zrow = ([1.0] if config.intercept else []) + [covariate(c) for c in config.random]
-            label = cell(config.cluster)
-            if label not in groups:
-                labels.append(label)
-                groups[label] = []
-            groups[label].append((resp, xrow, zrow))
-
-    if not labels:
-        raise DataError(f"{path}: no data rows")
-    clusters = []
-    for label in labels:
-        rows = groups[label]
-        clusters.append(
-            Cluster(
-                np.array([r[0] for r in rows]),
-                np.array([r[1] for r in rows]),
-                np.array([r[2] for r in rows]),
-            )
-        )
-    try:
-        return ClusteredDataset(tuple(clusters))
-    except DataError as err:
-        raise DataError(f"{path}: {err}") from None
+def culcita_config(command: str = "fit", **overrides) -> RunConfig:
+    """A run configuration for the bundled predation data."""
+    settings = dict(command=command, data=culcita_path(), **culcita_columns())
+    settings.update(overrides)
+    return RunConfig(**settings)
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +249,6 @@ def parse_float_list(value: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _parameter_names(config: RunConfig, data: ClusteredDataset) -> list[str]:
-    return [f"beta:{n}" for n in config.beta_names()] + [
-        f"psi:{n}" for n in psi_names(data.q)
-    ]
-
-
 def _emit(document: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(document)
@@ -345,7 +260,7 @@ def _emit(document: str, out: str | None) -> None:
 def run(config: RunConfig) -> int:
     """Execute a configured run and write its result document."""
     data = load_csv(config.data, config)
-    names = _parameter_names(config, data)
+    names = parameter_names(data, config.beta_names())
     if len(config.beta_names()) != data.p:
         raise DataError("internal: fixed design width mismatch")
 
@@ -361,7 +276,7 @@ def run(config: RunConfig) -> int:
 
     # simulate
     if config.theta_true is not None:
-        want = data.p + len(psi_names(data.q))
+        want = len(names)
         if len(config.theta_true) != want:
             raise DataError(
                 f"theta_true needs {want} entries (beta then psi), got {len(config.theta_true)}"

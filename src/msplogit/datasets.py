@@ -1,4 +1,4 @@
-"""Bundled example data.
+"""Data loading and the bundled example data.
 
 The sea-star predation experiment: a randomized complete block design
 with four symbiont treatments (none, crabs, shrimp, both), ten temporal
@@ -9,17 +9,106 @@ block 10 under no symbionts.  Analyses conventionally drop it.
 
 from __future__ import annotations
 
+import csv
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 
-from .cli import RunConfig, load_csv
-from .model import Cluster, ClusteredDataset
+from .model import Cluster, ClusteredDataset, DataError
 
-__all__ = ["culcita_path", "culcita", "culcita_config", "CULCITA_ATYPICAL_ROW"]
+__all__ = ["load_csv", "culcita_path", "culcita_columns", "culcita", "CULCITA_ATYPICAL_ROW"]
 
 # (block, treatment, replicate) of the atypical observation.
 CULCITA_ATYPICAL_ROW = ("10", "none", 2)
+
+
+def load_csv(path: str, config) -> ClusteredDataset:
+    """Read a UTF-8 CSV with a header row into a clustered dataset.
+
+    ``config`` names the columns through its ``response``, ``cluster``,
+    ``fixed``, ``random`` and ``intercept`` attributes, as
+    ``cli.RunConfig`` does; nothing else of it is read.  Rows are
+    grouped by the cluster column in order of first appearance.  When ``config.intercept`` is set, a column of ones is
+    prepended to both the fixed-effects and the random-effects designs.
+    Structural problems raise ``DataError`` naming the offending line.
+    """
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as err:
+        raise DataError(f"cannot open {path}: {err}") from err
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        needed = [config.response, config.cluster] + config.fixed + config.random
+        for col in needed:
+            if col not in header:
+                raise DataError(f"{path}: column {col!r} not found in header")
+        col_idx = {name: header.index(name) for name in needed}
+
+        labels: list[str] = []
+        groups: dict[str, list[tuple[float, list[float], list[float]]]] = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
+
+            def cell(col):
+                return row[col_idx[col]].strip()
+
+            raw = cell(config.response)
+            try:
+                resp = float(raw)
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {lineno}: response {raw!r} is not a number"
+                ) from None
+            if resp not in (0.0, 1.0):
+                raise DataError(f"{path}: line {lineno}: response {raw!r} is not 0 or 1")
+
+            def covariate(col):
+                text = cell(col)
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {lineno}: column {col!r} value {text!r} is not numeric"
+                    ) from None
+                if not np.isfinite(value):
+                    raise DataError(
+                        f"{path}: line {lineno}: column {col!r} value {text!r} is not finite"
+                    )
+                return value
+
+            xrow = ([1.0] if config.intercept else []) + [covariate(c) for c in config.fixed]
+            zrow = ([1.0] if config.intercept else []) + [covariate(c) for c in config.random]
+            label = cell(config.cluster)
+            if label not in groups:
+                labels.append(label)
+                groups[label] = []
+            groups[label].append((resp, xrow, zrow))
+
+    if not labels:
+        raise DataError(f"{path}: no data rows")
+    clusters = []
+    for label in labels:
+        rows = groups[label]
+        clusters.append(
+            Cluster(
+                np.array([r[0] for r in rows]),
+                np.array([r[1] for r in rows]),
+                np.array([r[2] for r in rows]),
+            )
+        )
+    try:
+        return ClusteredDataset(tuple(clusters))
+    except DataError as err:
+        raise DataError(f"{path}: {err}") from None
 
 
 def culcita_path() -> str:
@@ -27,19 +116,15 @@ def culcita_path() -> str:
     return str(resources.files("msplogit").joinpath("data/culcita.csv"))
 
 
-def culcita_config(command: str = "fit", **overrides) -> RunConfig:
-    """A run configuration for the bundled predation data."""
-    settings = dict(
-        command=command,
-        data=culcita_path(),
+def culcita_columns() -> dict:
+    """The column settings ``load_csv`` needs for the bundled predation CSV."""
+    return dict(
         response="predation",
         fixed=["crabs", "shrimp", "both"],
         random=[],
         cluster="block",
         intercept=True,
     )
-    settings.update(overrides)
-    return RunConfig(**settings)
 
 
 def culcita(drop_atypical: bool = False) -> ClusteredDataset:
@@ -48,8 +133,7 @@ def culcita(drop_atypical: bool = False) -> ClusteredDataset:
     With ``drop_atypical`` the block-10 no-symbiont zero response is
     removed, leaving 79 rows.
     """
-    config = culcita_config()
-    data = load_csv(config.data, config)
+    data = load_csv(culcita_path(), SimpleNamespace(**culcita_columns()))
     if not drop_atypical:
         return data
     keep = []

@@ -21,15 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .likelihood import LoglikEvaluator
 from .model import ClusteredDataset, Theta
-from .optimize import (
-    FitResult,
-    _boundary_flags,
-    _make_rule,
-    hessian_fd,
-    with_se,
-)
+from .optimize import FitResult, hessian_fd
 from .penalties import scale_factor
 
 __all__ = [
@@ -92,10 +85,7 @@ def wald_se(data: ClusteredDataset, fit_result: FitResult) -> WaldSE:
     The Hessian is of the unpenalized approximate log-likelihood at the
     fitted estimate, regardless of the fitting method.
     """
-    options = fit_result.options
-    evaluator = LoglikEvaluator(
-        data, options.resolve_approx(data.q), _make_rule(options, data.q)
-    )
+    evaluator = fit_result.options.evaluator(data)
     p = data.p
 
     def loglik_vec(v):
@@ -118,9 +108,9 @@ def wald_se(data: ClusteredDataset, fit_result: FitResult) -> WaldSE:
 
 
 def attach_se(data: ClusteredDataset, fit_result: FitResult) -> tuple[FitResult, WaldSE]:
-    """Compute Wald SEs and return the fit with them (and SE flags) attached."""
+    """Compute Wald SEs and return the fit with them attached."""
     wald = wald_se(data, fit_result)
-    return with_se(fit_result, wald.se, wald.available), wald
+    return replace(fit_result, se=wald.se, se_available=wald.available), wald
 
 
 def transform_dataset(data: ClusteredDataset, cmap: ContrastMap) -> ClusteredDataset:
@@ -160,7 +150,6 @@ def transform_fit(
         fit_result,
         theta=theta_new,
         penalized=fit_result.penalized + pen_shift,
-        boundary_flags=_boundary_flags(theta_new, fit_result.options),
         se=None,
         se_available=None,
     )
@@ -169,7 +158,7 @@ def transform_fit(
     if wald is None:
         wald = wald_se(data, fit_result)
     if wald.cov is None:
-        return with_se(out, wald.se, wald.available)
+        return replace(out, se=wald.se, se_available=wald.available)
     d = fit_result.theta.dim
     p = fit_result.theta.p
     T = np.eye(d)
@@ -178,11 +167,11 @@ def transform_fit(
     diag = np.diag(cov_new)
     available = diag > 0
     se = np.where(available, np.sqrt(np.abs(diag)), np.nan)
-    return with_se(out, se, available)
+    return replace(out, se=se, se_available=available)
 
 
 def normal_quantile(prob: float) -> float:
-    """Standard normal quantile (rational approximation, ~1e-16 accurate)."""
+    """Standard normal quantile, by ``scipy.special.ndtri``."""
     if not 0.0 < prob < 1.0:
         raise ValueError(f"probability must be in (0, 1), got {prob}")
     return float(ndtri(prob))

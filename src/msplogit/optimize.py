@@ -7,6 +7,10 @@ is analytic.  Maximization is BFGS with a Wolfe line search; if the
 line search stagnates before the gradient tolerance is met, a single
 Nelder-Mead polish is run and BFGS restarted from its result.
 
+The gradient tolerance ``GRAD_TOL``, the iteration cap ``MAX_ITER`` and
+the finite-difference step ``FD_STEP_SCALE`` are constants of this
+module, not fit options.
+
 The log-Cholesky encoding of the covariance makes the parameter space
 all of R^d, so the optimization is unconstrained.
 """
@@ -14,20 +18,15 @@ all of R^d, so the optimization is unconstrained.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from .likelihood import (
-    LoglikEvaluator,
-    ModeFindingError,
-    QuadratureRule,
-    gauss_hermite_rule,
-)
-from .model import ClusteredDataset, Theta, n_psi
+from .likelihood import LoglikEvaluator, ModeFindingError, gauss_hermite_rule
+from .model import ClusteredDataset, Theta, n_psi, psi_names
 from .penalties import (
     SingularInformationError,
     composite_penalty,
@@ -46,6 +45,8 @@ __all__ = [
     "parameter_names",
 ]
 
+GRAD_TOL = 1e-6
+MAX_ITER = 500
 FD_STEP_SCALE = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 START_NEWTON_STEPS = 25
@@ -70,17 +71,15 @@ class FitOptions:
     quadrature: node count of the adaptive rule.
     start: optional starting point; the default is the penalized
         fixed-effects-only logistic fit with psi = 0.
-    boundary thresholds flag estimates that are atypically large in
-        absolute value; they are diagnostics, not constraints.
+    beta_max, psi_max, se_max: thresholds above which an estimate or
+        its standard error is flagged as atypically large in absolute
+        value; they are diagnostics, not constraints.
     """
 
     method: str = "mspl"
     approx: str = "auto"
     quadrature: int = 100
     start: Theta | None = None
-    grad_tol: float = 1e-6
-    max_iter: int = 500
-    fd_step_scale: float = FD_STEP_SCALE
     beta_max: float = 15.0
     psi_max: float = 10.0
     se_max: float = 50.0
@@ -92,15 +91,17 @@ class FitOptions:
             raise ValueError(f"approx must be 'agq', 'laplace' or 'auto', got {self.approx!r}")
         if self.quadrature < 1:
             raise ValueError("quadrature size must be >= 1")
-        if self.grad_tol <= 0 or self.fd_step_scale <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
     def resolve_approx(self, q: int) -> str:
         if self.approx == "auto":
             return "agq" if q == 1 else "laplace"
         return self.approx
+
+    def evaluator(self, data: ClusteredDataset) -> LoglikEvaluator:
+        """The approximate log-likelihood of ``data`` these options select."""
+        approx = self.resolve_approx(data.q)
+        rule = gauss_hermite_rule(self.quadrature) if approx == "agq" else None
+        return LoglikEvaluator(data, approx, rule)
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,15 @@ class FitResult:
 
     ``loglik`` is the unpenalized approximate log-likelihood at the
     estimate; ``penalized`` is the maximized objective (identical to
-    ``loglik`` for ML).  ``boundary_flags`` marks parameters whose
-    estimates exceed the configured thresholds; standard-error based
-    flags are added when SEs are attached by the inference module.
-    ``objective_trace`` records the objective at each accepted iterate.
+    ``loglik`` for ML).  ``se`` and ``se_available`` are set once the
+    inference module attaches standard errors.  ``objective_trace``
+    records the objective at each accepted iterate.
+
+    The flags are derived from the estimate, its SEs and the thresholds
+    in ``options``, one entry per parameter: ``estimate_flags`` marks
+    |beta_j| > beta_max and |psi_j| > psi_max, ``se_flags`` marks
+    available SEs above se_max (all false before SEs are attached), and
+    ``boundary_flags`` is their union.
     """
 
     theta: Theta
@@ -121,12 +127,28 @@ class FitResult:
     converged: bool
     iterations: int
     grad_norm: float
-    boundary_flags: np.ndarray
     method: str
     options: FitOptions
     se: np.ndarray | None = None
     se_available: np.ndarray | None = None
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @property
+    def estimate_flags(self) -> np.ndarray:
+        return np.concatenate([
+            np.abs(self.theta.beta) > self.options.beta_max,
+            np.abs(self.theta.psi) > self.options.psi_max,
+        ])
+
+    @property
+    def se_flags(self) -> np.ndarray:
+        if self.se is None:
+            return np.zeros(self.theta.dim, dtype=bool)
+        return self.se_available & (self.se > self.options.se_max)
+
+    @property
+    def boundary_flags(self) -> np.ndarray:
+        return self.estimate_flags | self.se_flags
 
     @property
     def flagged(self) -> bool:
@@ -135,19 +157,11 @@ class FitResult:
 
 def parameter_names(data: ClusteredDataset, fixed_names=None) -> list[str]:
     """Names of the joint parameter vector, beta block then psi block."""
-    from .model import psi_names
-
     if fixed_names is None:
         fixed_names = [f"b{j}" for j in range(data.p)]
     return [f"beta:{name}" for name in fixed_names] + [
         f"psi:{name}" for name in psi_names(data.q)
     ]
-
-
-def _make_rule(options: FitOptions, q: int) -> QuadratureRule | None:
-    if options.resolve_approx(q) == "agq":
-        return gauss_hermite_rule(options.quadrature)
-    return None
 
 
 def objective(
@@ -156,11 +170,14 @@ def objective(
     options: FitOptions,
     evaluator: LoglikEvaluator | None = None,
 ) -> float:
-    """ML objective: approximate loglik; MSPL: loglik plus scaled penalty."""
+    """The objective ``fit`` maximizes.
+
+    ML: the approximate log-likelihood; MSPL: that plus the scaled
+    composite penalty, or -inf where the penalty's information matrix
+    is singular.
+    """
     if evaluator is None:
-        evaluator = LoglikEvaluator(
-            data, options.resolve_approx(data.q), _make_rule(options, data.q)
-        )
+        evaluator = options.evaluator(data)
     value = evaluator.loglik(theta)
     if options.method == "mspl":
         try:
@@ -292,17 +309,6 @@ class _Memo:
         return self._f
 
 
-def _boundary_flags(theta: Theta, options: FitOptions) -> np.ndarray:
-    return np.concatenate([
-        np.abs(theta.beta) > options.beta_max,
-        np.abs(theta.psi) > options.psi_max,
-    ])
-
-
-def _se_flags(se: np.ndarray, available: np.ndarray, options: FitOptions) -> np.ndarray:
-    return available & (se > options.se_max)
-
-
 def _newton_polish(objective_vec, gradient_vec, x, grad_norm, tol, max_steps=8):
     """Gradient-polishing Newton steps on the finite-difference Hessian.
 
@@ -319,6 +325,9 @@ def _newton_polish(objective_vec, gradient_vec, x, grad_norm, tol, max_steps=8):
         try:
             delta = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
+            break
+        if not np.isfinite(delta).all():
+            # A probe of the Hessian hit the -inf limit of the penalty.
             break
         improved = False
         t = 1.0
@@ -348,9 +357,7 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
     converge is reported through ``converged``, never as an exception.
     A breakdown of the objective or gradient evaluation raises ``FitError``.
     """
-    evaluator = LoglikEvaluator(
-        data, options.resolve_approx(data.q), _make_rule(options, data.q)
-    )
+    evaluator = options.evaluator(data)
     p = data.p
     mspl = options.method == "mspl"
 
@@ -358,13 +365,7 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
         return evaluator.loglik(Theta.from_vector(v, p))
 
     def objective_vec(v):
-        value = loglik_vec(v)
-        if mspl:
-            try:
-                value += composite_penalty(data, Theta.from_vector(v, p)).value
-            except SingularInformationError:
-                return -np.inf
-        return value
+        return objective(data, Theta.from_vector(v, p), options, evaluator)
 
     # Every gradient of the fit is kept. When SciPy's BFGS falls back from
     # its first line search to its second, it asks again for trial points
@@ -375,7 +376,7 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
     def gradient_vec(v):
         key = np.asarray(v, dtype=float).tobytes()
         if key not in gradients:
-            grad = numeric_gradient(loglik_vec, v, options.fd_step_scale)
+            grad = numeric_gradient(loglik_vec, v)
             if mspl:
                 grad = grad + composite_penalty(data, Theta.from_vector(v, p)).gradient
             gradients[key] = grad
@@ -390,7 +391,7 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
         trace.append(-memo(xk))
 
     x0 = _start_theta(data, options).as_vector()
-    bfgs_opts = {"gtol": options.grad_tol, "norm": 2, "maxiter": options.max_iter}
+    bfgs_opts = {"gtol": GRAD_TOL, "norm": 2, "maxiter": MAX_ITER}
 
     try:
         with warnings.catch_warnings():
@@ -402,7 +403,7 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
             iterations = res.nit
             x_best, f_best = res.x, res.fun
             stagnated = (not res.success) and res.status == 2
-            if stagnated and iterations < options.max_iter:
+            if stagnated and iterations < MAX_ITER:
                 # One restart: simplex polish, then resume BFGS from there.
                 polish = minimize(
                     memo, x_best, method="Nelder-Mead",
@@ -416,19 +417,19 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
                     x_best, f_best = polish.x, polish.fun
                 res = minimize(
                     memo, x_best, jac=neg_grad, method="BFGS",
-                    options={**bfgs_opts, "maxiter": options.max_iter - iterations},
+                    options={**bfgs_opts, "maxiter": MAX_ITER - iterations},
                     callback=record,
                 )
                 iterations += res.nit
                 if res.fun <= f_best:
                     x_best, f_best = res.x, res.fun
         grad_norm = float(np.linalg.norm(gradient_vec(x_best)))
-        if grad_norm > options.grad_tol:
+        if grad_norm > GRAD_TOL:
             # Near the optimum the line search stalls once objective
             # gains shrink below float rounding; a Newton step on the
             # finite-difference Hessian still reduces the gradient.
             x_best, grad_norm, polish_steps = _newton_polish(
-                objective_vec, gradient_vec, x_best, grad_norm, options.grad_tol
+                objective_vec, gradient_vec, x_best, grad_norm, GRAD_TOL
             )
             iterations += polish_steps
             f_best = -objective_vec(x_best)
@@ -438,7 +439,7 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
         raise FitError(f"objective evaluation failed: {err}") from err
 
     penalized = float(-f_best)
-    converged = bool(grad_norm <= options.grad_tol)
+    converged = bool(grad_norm <= GRAD_TOL)
     return FitResult(
         theta=theta_hat,
         loglik=float(loglik_hat),
@@ -446,21 +447,8 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
         converged=converged,
         iterations=int(iterations),
         grad_norm=grad_norm,
-        boundary_flags=_boundary_flags(theta_hat, options),
         method=options.method,
         options=options,
         objective_trace=np.array(trace),
     )
 
-
-def with_se(fit_result: FitResult, se: np.ndarray, available: np.ndarray) -> FitResult:
-    """Attach standard errors and fold SE-size flags into the boundary flags."""
-    se = np.asarray(se, dtype=float)
-    available = np.asarray(available, dtype=bool)
-    se_flags = _se_flags(se, available, fit_result.options)
-    return replace(
-        fit_result,
-        se=se,
-        se_available=available,
-        boundary_flags=fit_result.boundary_flags | se_flags,
-    )

@@ -31,7 +31,7 @@ from scipy.special import expit
 from .inference import attach_se, normal_quantile
 from .likelihood import ModeFindingError
 from .model import ClusteredDataset, Theta, psi_to_chol
-from .optimize import FitError, FitOptions, _boundary_flags, _se_flags, fit
+from .optimize import FitError, FitOptions, fit, parameter_names
 
 __all__ = [
     "SimulationDesign",
@@ -137,13 +137,14 @@ class MethodRecord:
         return self.reasons.isdisjoint(DISCARD_REASONS)
 
 
-def _fit_reasons(result, p: int) -> frozenset[str]:
-    flags = _boundary_flags(result.theta, result.options)
+def _fit_reasons(result) -> frozenset[str]:
+    flags = result.estimate_flags
+    p = result.theta.p
     present = {
         "unconverged": not result.converged,
         "beta_flag": bool(flags[:p].any()),
         "psi_flag": bool(flags[p:].any()),
-        "se_flag": bool(_se_flags(result.se, result.se_available, result.options).any()),
+        "se_flag": bool(result.se_flags.any()),
         "se_unavailable": not result.se_available.all(),
     }
     return frozenset(reason for reason, hit in present.items() if hit)
@@ -166,7 +167,7 @@ def run_replication(design: SimulationDesign, r: int) -> list[MethodRecord]:
             records.append(MethodRecord(
                 result.theta.as_vector(),
                 np.where(result.se_available, result.se, np.nan),
-                _fit_reasons(result, sample.p),
+                _fit_reasons(result),
             ))
         except (FitError, ModeFindingError):
             records.append(MethodRecord(
@@ -274,8 +275,6 @@ def run_study(
     truth = design.theta_true.as_vector()
     d = truth.size
     if param_names is None:
-        from .optimize import parameter_names
-
         param_names = tuple(parameter_names(design.template))
     methods = {}
     for m, label in enumerate(design.labels):

@@ -8,12 +8,13 @@ from msplogit.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     RunConfig,
+    culcita_config,
     load_csv,
     main,
     parse_float_list,
     parse_result,
 )
-from msplogit.datasets import culcita, culcita_config, culcita_path
+from msplogit.datasets import culcita, culcita_path
 from msplogit.model import DataError
 from msplogit.simulate import REASONS
 

@@ -98,6 +98,28 @@ class TestWaldSe:
         assert COND_LIMIT > 1e10  # sanity: guard is lenient enough for real fits
 
 
+class TestAttachSe:
+    def test_se_flag_kept_apart_from_estimate_flags(self):
+        # Estimates well inside the thresholds, SEs above a small se_max.
+        data = make_dataset(k=8, n_i=6, p=2, seed=6, beta=[0.6, -1.0], psi=[0.0])
+        result = fit(data, FitOptions(method="mspl", quadrature=30, se_max=0.5))
+        assert not result.se_flags.any()
+        assert not result.flagged
+        with_se, wald = attach_se(data, result)
+        assert wald.available.all() and (wald.se > 0.5).any()
+        assert np.array_equal(with_se.se_flags, wald.se > 0.5)
+        assert not with_se.estimate_flags.any()
+        assert np.array_equal(with_se.boundary_flags, with_se.se_flags)
+        assert with_se.flagged
+
+    def test_transformed_fit_flags_follow_new_estimates(self):
+        data = make_dataset(k=8, n_i=6, p=2, seed=6, beta=[0.6, -1.0], psi=[0.0])
+        result, wald = attach_se(data, fit(data, FitOptions(method="mspl", quadrature=30, beta_max=2.0)))
+        moved = transform_fit(result, ContrastMap(np.diag([100.0, 1.0])), data, wald)
+        assert np.array_equal(moved.estimate_flags[:2], np.abs(moved.theta.beta) > 2.0)
+        assert moved.estimate_flags[0] and moved.se_flags[0]
+
+
 class TestTransformFit:
     def test_identity_contrast_is_noop(self):
         data = make_dataset(k=4, n_i=6, p=2, seed=3, beta=[0.5, -0.8], psi=[0.1])

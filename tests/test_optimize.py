@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import msplogit.optimize as optimize
 from msplogit.likelihood import LoglikEvaluator, gauss_hermite_rule
-from msplogit.model import Theta
+from msplogit.model import Cluster, ClusteredDataset, DataError, Theta
 from msplogit.optimize import (
     FitError,
     FitOptions,
+    FitResult,
     GradientError,
     fit,
     hessian_fd,
@@ -25,8 +28,6 @@ class TestFitOptions:
             FitOptions(method="map")
         with pytest.raises(ValueError):
             FitOptions(quadrature=0)
-        with pytest.raises(ValueError):
-            FitOptions(grad_tol=0.0)
         with pytest.raises(ValueError):
             FitOptions(approx="quadrature")
 
@@ -173,10 +174,9 @@ class TestFit:
 
     def test_grad_norm_within_tol_when_converged(self):
         data = make_dataset(k=4, n_i=5, p=2, seed=12, beta=[0.2, 0.4], psi=[-0.2])
-        opts = FitOptions(method="mspl", quadrature=25)
-        result = fit(data, opts)
+        result = fit(data, FitOptions(method="mspl", quadrature=25))
         assert result.converged
-        assert result.grad_norm <= opts.grad_tol
+        assert result.grad_norm <= optimize.GRAD_TOL
 
     def test_separation_contrast_between_methods(self):
         data = separation_dataset()
@@ -242,3 +242,61 @@ class TestFit:
             "psi:log_l22",
             "psi:l21",
         ]
+
+
+DEGENERATE_KINDS = ("separated", "constant_clusters", "singletons", "near_collinear")
+
+
+@st.composite
+def degenerate_q1_design(draw):
+    """A small q = 1 dataset of one degenerate kind that passes the rank check."""
+    kind = draw(st.sampled_from(DEGENERATE_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 6))
+    n_i = 1 if kind == "singletons" else draw(st.integers(2, 5))
+    clusters = []
+    for i in range(k):
+        x = rng.normal(size=n_i)
+        if kind == "near_collinear":
+            eps = draw(st.sampled_from([1e-6, 1e-4, 1e-2]))
+            X = np.column_stack([np.ones(n_i), x, x + eps * rng.normal(size=n_i)])
+        else:
+            X = np.column_stack([np.ones(n_i), x])
+        if kind == "separated":
+            y = (x > 0).astype(float)
+        elif kind == "constant_clusters":
+            y = np.full(n_i, float(i % 2))
+        else:
+            y = rng.integers(0, 2, n_i).astype(float)
+        clusters.append(Cluster(y, X, np.ones((n_i, 1))))
+    try:
+        return ClusteredDataset(tuple(clusters))
+    except DataError:
+        assume(False)
+
+
+class TestFitContract:
+    @given(data=degenerate_q1_design(), method=st.sampled_from(["ml", "mspl"]))
+    @settings(max_examples=25, deadline=None)
+    def test_fit_returns_result_or_raises_fit_error(self, data, method):
+        try:
+            result = fit(data, FitOptions(method=method, quadrature=5))
+        except FitError:
+            return
+        assert isinstance(result, FitResult)
+        assert result.estimate_flags.shape == (data.p + 1,)
+
+    def test_non_finite_polish_hessian_ends_the_polish(self):
+        # Near-collinear fixed design on 4 rows: the MSPL fit runs off
+        # along the collinear direction, and a probe of the polish
+        # Hessian meets the penalty's -inf limit.  The polish stops
+        # there instead of stepping to a NaN point.
+        X1 = np.array([[1.0, 0.12573022, 0.12573086], [1.0, -0.13210486, -0.13210476]])
+        X2 = np.array([[1.0, 0.36159505, 0.361596], [1.0, 1.30400005, 1.30399934]])
+        data = ClusteredDataset((
+            Cluster(np.array([0.0, 1.0]), X1, np.ones((2, 1))),
+            Cluster(np.array([1.0, 1.0]), X2, np.ones((2, 1))),
+        ))
+        result = fit(data, FitOptions(method="mspl", quadrature=5))
+        assert np.isfinite(result.theta.as_vector()).all()
+        assert np.isfinite(result.grad_norm)

@@ -180,6 +180,16 @@ class TestRunStudy:
         for reason in REASONS:
             assert ml.discarded[reason] == sum(reason in rec.reasons for rec in discarded)
         assert 6 - ml.retained <= sum(ml.discarded[r] for r in DISCARD_REASONS)
+        # The estimate and SE flags are told apart: each reason matches its
+        # own threshold, and on this study every ML fit trips both.
+        opts = design.methods[1]
+        for rec in records:
+            p = template.p
+            assert ("beta_flag" in rec.reasons) == bool((np.abs(rec.estimates[:p]) > opts.beta_max).any())
+            assert ("psi_flag" in rec.reasons) == bool((np.abs(rec.estimates[p:]) > opts.psi_max).any())
+            assert ("se_flag" in rec.reasons) == bool((np.nan_to_num(rec.ses) > opts.se_max).any())
+        assert ml.discarded["beta_flag"] == 6
+        assert ml.discarded["se_flag"] == 6
 
     def test_failed_penalty_gradient_is_an_exception_record(self, monkeypatch):
         monkeypatch.setattr(optimize, "composite_penalty", penalty_without_gradient)
