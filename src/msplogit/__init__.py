@@ -20,12 +20,10 @@ from .model import (
     sigma_to_psi,
 )
 from .likelihood import (
-    ClusterMode,
     LoglikEvaluator,
     ModeFindingError,
     QuadratureRule,
     agq_loglik,
-    cluster_mode,
     gauss_hermite_rule,
     laplace_loglik,
 )
@@ -74,12 +72,10 @@ __all__ = [
     "conditional_loglik",
     "psi_to_sigma",
     "sigma_to_psi",
-    "ClusterMode",
     "LoglikEvaluator",
     "ModeFindingError",
     "QuadratureRule",
     "agq_loglik",
-    "cluster_mode",
     "gauss_hermite_rule",
     "laplace_loglik",
     "PenaltyValue",

@@ -94,13 +94,16 @@ class RunConfig:
             raise DataError("no fixed-effect columns; give --fixed and/or --intercept")
         if not self.random and not self.intercept:
             raise DataError("no random-effect columns; give --random and/or --intercept")
-        if self.method not in ("ml", "mspl"):
-            raise DataError(f"method must be 'ml' or 'mspl', got {self.method!r}")
+        if self.replications < 1:
+            raise DataError(f"replications must be at least 1, got {self.replications}")
         if self.methods is None:
             self.methods = [self.method]
-        for m in self.methods:
-            if m not in ("ml", "mspl"):
-                raise DataError(f"method must be 'ml' or 'mspl', got {m!r}")
+        q = len(self.random) + self.intercept
+        try:
+            for m in [self.method] + self.methods:
+                self.fit_options(m).resolve_approx(q)
+        except ValueError as err:
+            raise DataError(str(err)) from None
 
     def fit_options(self, method: str | None = None) -> FitOptions:
         return FitOptions(
@@ -114,9 +117,6 @@ class RunConfig:
 
     def beta_names(self) -> list[str]:
         return (["intercept"] if self.intercept else []) + list(self.fixed)
-
-    def random_names(self) -> list[str]:
-        return (["intercept"] if self.intercept else []) + list(self.random)
 
 
 def culcita_config(command: str = "fit", **overrides) -> RunConfig:

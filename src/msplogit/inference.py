@@ -91,20 +91,24 @@ def wald_se(data: ClusteredDataset, fit_result: FitResult) -> WaldSE:
     def loglik_vec(v):
         return evaluator.loglik(Theta.from_vector(v, p))
 
-    H = hessian_fd(loglik_vec, fit_result.theta.as_vector())
-    neg_H = -H
+    neg_H = -hessian_fd(loglik_vec, fit_result.theta.as_vector())
     cond = float(np.linalg.cond(neg_H))
-    d = neg_H.shape[0]
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        return WaldSE(np.full(d, np.nan), np.zeros(d, dtype=bool), None, cond)
-    try:
-        cov = np.linalg.inv(neg_H)
-    except np.linalg.LinAlgError:
+    cov = None
+    if np.isfinite(cond) and cond <= COND_LIMIT:
+        try:
+            cov = np.linalg.inv(neg_H)
+        except np.linalg.LinAlgError:
+            pass  # reported as unavailable, like an ill-conditioned Hessian
+    return _wald_from_cov(cov, cond, neg_H.shape[0])
+
+
+def _wald_from_cov(cov: np.ndarray | None, cond: float, d: int) -> WaldSE:
+    """SEs from the diagonal of ``cov``; all unavailable when there is none."""
+    if cov is None:
         return WaldSE(np.full(d, np.nan), np.zeros(d, dtype=bool), None, cond)
     diag = np.diag(cov)
     available = diag > 0
-    se = np.where(available, np.sqrt(np.abs(diag)), np.nan)
-    return WaldSE(se, available, cov, cond)
+    return WaldSE(np.where(available, np.sqrt(np.abs(diag)), np.nan), available, cov, cond)
 
 
 def attach_se(data: ClusteredDataset, fit_result: FitResult) -> tuple[FitResult, WaldSE]:
@@ -143,7 +147,7 @@ def transform_fit(
     # The fixed-effects penalty shifts by -c log|det C| under the
     # transformation, the likelihood not at all.
     pen_shift = 0.0
-    if fit_result.method == "mspl":
+    if fit_result.options.method == "mspl":
         c = scale_factor(data.p, data.n)
         pen_shift = -c * float(np.log(abs(np.linalg.det(cmap.C))))
     out = replace(
@@ -157,17 +161,12 @@ def transform_fit(
         return out
     if wald is None:
         wald = wald_se(data, fit_result)
-    if wald.cov is None:
-        return replace(out, se=wald.se, se_available=wald.available)
-    d = fit_result.theta.dim
-    p = fit_result.theta.p
-    T = np.eye(d)
-    T[:p, :p] = cmap.C
-    cov_new = T @ wald.cov @ T.T
-    diag = np.diag(cov_new)
-    available = diag > 0
-    se = np.where(available, np.sqrt(np.abs(diag)), np.nan)
-    return replace(out, se=se, se_available=available)
+    if wald.cov is not None:
+        d = fit_result.theta.dim
+        T = np.eye(d)
+        T[:cmap.p, :cmap.p] = cmap.C
+        wald = _wald_from_cov(T @ wald.cov @ T.T, wald.cond, d)
+    return replace(out, se=wald.se, se_available=wald.available)
 
 
 def normal_quantile(prob: float) -> float:

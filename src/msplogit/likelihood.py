@@ -44,17 +44,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import expit, logsumexp
 
-from .model import Cluster, ClusteredDataset, Theta, psi_to_chol, psi_to_sigma
+from .model import ClusteredDataset, Theta, psi_to_chol
 
 __all__ = [
     "QuadratureRule",
-    "ClusterMode",
     "ModeFindingError",
     "gauss_hermite_rule",
-    "cluster_mode",
     "agq_loglik",
     "agq_cluster_logprobs",
     "laplace_loglik",
@@ -62,7 +60,7 @@ __all__ = [
     "LoglikEvaluator",
 ]
 
-MODE_GRAD_TOL = 1e-10  # u-space tolerance of the public mode finder
+MAX_QUADRATURE = 200  # largest Gauss-Hermite rule; the smallest has one node
 MODE_GRAD_TOL_V = 1e-11  # standardized-scale tolerance of the inner solvers
 # A stalled inner solver is accepted when its gradient is below this; the
 # remaining mode error is O(gradient / curvature) and the curvature is huge
@@ -109,8 +107,8 @@ def gauss_hermite_rule(Q: int) -> QuadratureRule:
     for the extreme nodes of large rules).  Symmetry about zero is
     enforced exactly by averaging each node with its mirror image.
     """
-    if not (1 <= Q <= 200):
-        raise ValueError(f"quadrature size must be in [1, 200], got {Q}")
+    if not (1 <= Q <= MAX_QUADRATURE):
+        raise ValueError(f"quadrature size must be in [1, {MAX_QUADRATURE}], got {Q}")
     if Q == 1:
         return QuadratureRule(np.zeros(1), np.array([np.sqrt(np.pi)]))
     nodes = eigh_tridiagonal(
@@ -131,66 +129,6 @@ def gauss_hermite_rule(Q: int) -> QuadratureRule:
     rule.nodes.setflags(write=False)
     rule.weights.setflags(write=False)
     return rule
-
-
-@dataclass(frozen=True)
-class ClusterMode:
-    """Mode and curvature of a cluster's integrand exponent.
-
-    ``u_hat`` maximizes g_i; ``neg_hessian`` is Z' W Z + Sigma^{-1}
-    evaluated there, positive definite by construction.
-    """
-
-    u_hat: np.ndarray
-    neg_hessian: np.ndarray
-
-
-def _exponent(cluster: Cluster, xb: np.ndarray, sigma_inv: np.ndarray, u: np.ndarray) -> float:
-    eta = xb + cluster.Z @ u
-    return float(np.sum(cluster.y * eta - np.logaddexp(0.0, eta)) - 0.5 * u @ sigma_inv @ u)
-
-
-def cluster_mode(cluster: Cluster, theta: Theta) -> ClusterMode:
-    """Mode of g_i and the negative Hessian of g_i there.
-
-    Damped (Levenberg-style) Newton ascent from u = 0; g_i is strictly
-    concave, so the damping only guards the early steps.  Raises
-    ``ModeFindingError`` if the gradient norm does not fall below
-    ``MODE_GRAD_TOL`` within the iteration budget.
-    """
-    sigma = psi_to_sigma(theta.psi, theta.q)
-    sigma_inv = cho_solve(cho_factor(sigma, lower=True), np.eye(theta.q))
-    xb = cluster.X @ theta.beta
-    q = theta.q
-    u = np.zeros(q)
-    g = _exponent(cluster, xb, sigma_inv, u)
-    lam = 0.0
-    for _ in range(MODE_MAX_ITER):
-        eta = xb + cluster.Z @ u
-        mu = expit(eta)
-        grad = cluster.Z.T @ (cluster.y - mu) - sigma_inv @ u
-        w = mu * (1.0 - mu)
-        H = cluster.Z.T @ (w[:, None] * cluster.Z) + sigma_inv
-        if np.linalg.norm(grad) < MODE_GRAD_TOL:
-            return ClusterMode(u_hat=u, neg_hessian=H)
-        for _ in range(60):
-            step = np.linalg.solve(H + lam * np.eye(q), grad)
-            g_new = _exponent(cluster, xb, sigma_inv, u + step)
-            if g_new >= g - 1e-12 * (1.0 + abs(g)):
-                u = u + step
-                g = g_new
-                lam = lam / 10.0 if lam > 1e-12 else 0.0
-                break
-            lam = max(lam * 10.0, 1e-4)
-        else:  # pragma: no cover - damping exhausted
-            break
-    eta = xb + cluster.Z @ u
-    grad = cluster.Z.T @ (cluster.y - expit(eta)) - sigma_inv @ u
-    raise ModeFindingError(
-        f"cluster mode did not reach gradient norm {MODE_GRAD_TOL}",
-        last_iterate=u,
-        grad_norm=float(np.linalg.norm(grad)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +158,8 @@ def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
     """All cluster modes at once for q = 1, in the t = u / min(sigma, 1) scale.
 
     Maximizes gt_i(t) = condloglik(xb + s z t) - ratio t^2 / 2 per
-    cluster by vectorized damped Newton.  Returns (t_hat, curvature)
-    with curvature = s^2 Z'WZ + ratio per cluster.
+    cluster by vectorized damped Newton.  Returns (t_hat, gt(t_hat),
+    curvature) with curvature = s^2 Z'WZ + ratio per cluster.
     """
     offs = data.row_offsets
     idx = data.row_cluster
@@ -254,7 +192,7 @@ def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
         grad = _segsum(sz * (y - mu), offs) - ratio * v
         hess = _segsum(sz * sz * mu * (1.0 - mu), offs) + ratio
         if np.abs(grad).max() < MODE_GRAD_TOL_V:
-            return v, hess
+            return v, g, hess
         pending = np.ones(data.k, dtype=bool)
         v_new = v.copy()
         g_new = g.copy()
@@ -278,7 +216,7 @@ def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
     grad = _segsum(sz * (y - mu), offs) - ratio * v
     hess = _segsum(sz * sz * mu * (1.0 - mu), offs) + ratio
     if np.abs(grad).max() < MODE_GRAD_ESCAPE:
-        return v, hess
+        return v, g, hess
     raise ModeFindingError(
         f"cluster modes did not reach gradient norm {MODE_GRAD_TOL_V}",
         last_iterate=v,
@@ -386,7 +324,7 @@ def agq_cluster_logprobs(
     s, ratio = _q1_scale(sigma)
     log_s_over_sigma = 0.0 if sigma <= 1.0 else -float(theta.psi[0])
     xb = data.X @ theta.beta
-    v, hess = _modes_q1(data, xb, sigma, warm)
+    v, g_mode, hess = _modes_q1(data, xb, sigma, warm)
     log_tau = -0.5 * np.log(hess)
     tau = np.exp(log_tau)
 
@@ -403,7 +341,6 @@ def agq_cluster_logprobs(
     cond = _segsum(y[:, None] * eta - np.logaddexp(0.0, eta), offs)
     v_nodes = v[:, None] + (np.sqrt(2.0) * tau)[:, None] * x[None, :]
     g_nodes = cond - 0.5 * ratio * v_nodes**2
-    g_mode = _segsum(y * base - np.logaddexp(0.0, base), offs) - 0.5 * ratio * v**2
     log_int_rel = logsumexp(logw[None, :] + x[None, :] ** 2 + (g_nodes - g_mode[:, None]), axis=1)
     logprobs = g_mode + log_tau + log_int_rel + log_s_over_sigma - 0.5 * np.log(np.pi)
     return logprobs, v
@@ -424,15 +361,8 @@ def _laplace_q1(data: ClusteredDataset, theta: Theta, warm=None):
     # Shares the inner solver with the quadrature path, which makes
     # laplace == one-node adaptive quadrature an identity up to rounding.
     sigma = float(np.exp(theta.psi[0]))
-    s, ratio = _q1_scale(sigma)
     log_s_over_sigma = 0.0 if sigma <= 1.0 else -float(theta.psi[0])
-    xb = data.X @ theta.beta
-    v, hess = _modes_q1(data, xb, sigma, warm)
-    eta = xb + s * data.Z[:, 0] * v[data.row_cluster]
-    g_mode = (
-        _segsum(data.y * eta - np.logaddexp(0.0, eta), data.row_offsets)
-        - 0.5 * ratio * v**2
-    )
+    v, g_mode, hess = _modes_q1(data, data.X @ theta.beta, sigma, warm)
     return g_mode - 0.5 * np.log(hess) + log_s_over_sigma, v
 
 
@@ -469,22 +399,23 @@ class LoglikEvaluator:
     optimization differ by small parameter steps, so the previous modes
     are excellent starting points.  The evaluator is not thread safe,
     but distinct instances may run concurrently.
+
+    ``approx`` is "agq" (q = 1 only, with its quadrature ``rule``) or
+    "laplace"; ``FitOptions.evaluator`` chooses both from fit options.
     """
 
     def __init__(
         self,
         data: ClusteredDataset,
-        approx: str = "auto",
+        approx: str,
         rule: QuadratureRule | None = None,
     ):
-        if approx == "auto":
-            approx = "agq" if data.q == 1 else "laplace"
+        if approx not in ("agq", "laplace"):
+            raise ValueError(f"unknown approximation '{approx}'")
         if approx == "agq" and data.q != 1:
             raise ValueError(f"adaptive quadrature supports q = 1 only, got q = {data.q}")
         if approx == "agq" and rule is None:
-            rule = gauss_hermite_rule(100)
-        if approx not in ("agq", "laplace"):
-            raise ValueError(f"unknown approximation '{approx}'")
+            raise ValueError("adaptive quadrature needs a quadrature rule")
         self.data = data
         self.approx = approx
         self.rule = rule

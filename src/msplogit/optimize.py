@@ -25,7 +25,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from .likelihood import LoglikEvaluator, ModeFindingError, gauss_hermite_rule
+from .likelihood import MAX_QUADRATURE, LoglikEvaluator, ModeFindingError, gauss_hermite_rule
 from .model import ClusteredDataset, Theta, n_psi, psi_names
 from .penalties import (
     SingularInformationError,
@@ -50,6 +50,7 @@ MAX_ITER = 500
 FD_STEP_SCALE = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 START_NEWTON_STEPS = 25
+POLISH_STEPS = 8
 
 
 class FitError(RuntimeError):
@@ -68,7 +69,7 @@ class FitOptions:
         softly-penalized likelihood.
     approx: "agq" (adaptive quadrature, q = 1 only), "laplace", or
         "auto" (quadrature when q = 1, Laplace otherwise).
-    quadrature: node count of the adaptive rule.
+    quadrature: node count of the adaptive rule, 1 to ``MAX_QUADRATURE``.
     start: optional starting point; the default is the penalized
         fixed-effects-only logistic fit with psi = 0.
     beta_max, psi_max, se_max: thresholds above which an estimate or
@@ -89,12 +90,17 @@ class FitOptions:
             raise ValueError(f"method must be 'ml' or 'mspl', got {self.method!r}")
         if self.approx not in ("agq", "laplace", "auto"):
             raise ValueError(f"approx must be 'agq', 'laplace' or 'auto', got {self.approx!r}")
-        if self.quadrature < 1:
-            raise ValueError("quadrature size must be >= 1")
+        if not 1 <= self.quadrature <= MAX_QUADRATURE:
+            raise ValueError(
+                f"quadrature size must be in [1, {MAX_QUADRATURE}], got {self.quadrature}"
+            )
 
     def resolve_approx(self, q: int) -> str:
+        """The approximation for q random effects; quadrature needs q = 1."""
         if self.approx == "auto":
             return "agq" if q == 1 else "laplace"
+        if self.approx == "agq" and q != 1:
+            raise ValueError(f"adaptive quadrature supports q = 1 only, got q = {q}")
         return self.approx
 
     def evaluator(self, data: ClusteredDataset) -> LoglikEvaluator:
@@ -127,7 +133,6 @@ class FitResult:
     converged: bool
     iterations: int
     grad_norm: float
-    method: str
     options: FitOptions
     se: np.ndarray | None = None
     se_available: np.ndarray | None = None
@@ -189,17 +194,17 @@ def objective(
     return value
 
 
-def numeric_gradient(f, x: np.ndarray, step_scale: float = FD_STEP_SCALE) -> np.ndarray:
+def numeric_gradient(f, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient with per-coordinate relative steps.
 
-    Step in coordinate j is ``step_scale * max(1, |x_j|)``.  A
+    Step in coordinate j is ``FD_STEP_SCALE * max(1, |x_j|)``.  A
     non-finite probe value raises ``GradientError`` naming the
     coordinate.
     """
     x = np.asarray(x, dtype=float)
     grad = np.empty_like(x)
     for j in range(x.size):
-        h = step_scale * max(1.0, abs(x[j]))
+        h = FD_STEP_SCALE * max(1.0, abs(x[j]))
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
@@ -218,11 +223,11 @@ def numeric_gradient(f, x: np.ndarray, step_scale: float = FD_STEP_SCALE) -> np.
 HESS_STEP_SCALE = float(np.finfo(float).eps) ** 0.25
 
 
-def hessian_fd(f, x: np.ndarray, step_scale: float = HESS_STEP_SCALE) -> np.ndarray:
+def hessian_fd(f, x: np.ndarray) -> np.ndarray:
     """Central-difference Hessian with per-coordinate relative steps."""
     x = np.asarray(x, dtype=float)
     d = x.size
-    h = step_scale * np.maximum(1.0, np.abs(x))
+    h = HESS_STEP_SCALE * np.maximum(1.0, np.abs(x))
     H = np.empty((d, d))
     f0 = f(x)
 
@@ -309,7 +314,7 @@ class _Memo:
         return self._f
 
 
-def _newton_polish(objective_vec, gradient_vec, x, grad_norm, tol, max_steps=8):
+def _newton_polish(objective_vec, gradient_vec, x, grad_norm, tol):
     """Gradient-polishing Newton steps on the finite-difference Hessian.
 
     Accepts a step only when it reduces the gradient norm; leaves the
@@ -318,7 +323,7 @@ def _newton_polish(objective_vec, gradient_vec, x, grad_norm, tol, max_steps=8):
     """
     grad = gradient_vec(x)
     steps = 0
-    for _ in range(max_steps):
+    for _ in range(POLISH_STEPS):
         if grad_norm <= tol:
             break
         H = hessian_fd(objective_vec, x)
@@ -447,7 +452,6 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
         converged=converged,
         iterations=int(iterations),
         grad_norm=grad_norm,
-        method=options.method,
         options=options,
         objective_trace=np.array(trace),
     )

@@ -21,6 +21,7 @@ platforms.
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -267,7 +268,7 @@ def run_study(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, R // (8 * workers))
             all_records = list(
-                pool.map(_study_worker, [(design, r) for r in range(R)], chunksize=chunk)
+                pool.map(run_replication, itertools.repeat(design), range(R), chunksize=chunk)
             )
     else:
         all_records = [run_replication(design, r) for r in range(R)]
@@ -296,10 +297,6 @@ def run_study(
         param_names=tuple(param_names),
         methods=methods,
     )
-
-
-def _study_worker(args):
-    return run_replication(*args)
 
 
 def percentile_table(

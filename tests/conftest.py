@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
+from scipy.special import expit, logsumexp
 
 from msplogit.model import Cluster, ClusteredDataset, Theta
 from msplogit.penalties import SingularInformationError, composite_penalty
@@ -52,6 +54,34 @@ def degenerate_slope_dataset(seed=4, k=8, n_i=8):
         y = (rng.random(n_i) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         clusters.append(Cluster(y, X, X.copy()))
     return ClusteredDataset(tuple(clusters))
+
+
+def trapezoid_loglik(data, theta, eta_shift=0.0):
+    """Dense trapezoid integration of the q = 1 marginal log-likelihood.
+
+    Each cluster's grid spans 12 local standard deviations on either
+    side of the mode of its exponent, which scipy's scalar minimizer
+    finds; no msplogit numerics are used.  ``eta_shift`` is added to
+    every linear predictor.
+    """
+    sigma2 = float(np.exp(2.0 * theta.psi[0]))
+    total = 0.0
+    for c in data.clusters:
+        xb = eta_shift + c.X @ theta.beta
+        z = c.Z[:, 0]
+
+        def exponent(u):
+            eta = xb[:, None] + z[:, None] * u[None, :]
+            return (c.y[:, None] * eta - np.logaddexp(0.0, eta)).sum(axis=0) - 0.5 * u**2 / sigma2
+
+        mode = minimize_scalar(lambda u: -exponent(np.array([u]))[0]).x
+        mu = expit(xb + z * mode)
+        tau = 1.0 / np.sqrt(np.sum(z * z * mu * (1.0 - mu)) + 1.0 / sigma2)
+        grid = np.linspace(mode - 12 * tau, mode + 12 * tau, 20001)
+        logw = np.full(grid.size, np.log(grid[1] - grid[0]))
+        logw[[0, -1]] += np.log(0.5)
+        total += logsumexp(exponent(grid) + logw) - 0.5 * np.log(2 * np.pi * sigma2)
+    return total
 
 
 class _PenaltyWithoutGradient:

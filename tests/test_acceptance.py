@@ -10,16 +10,15 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 import msplogit as m
-from msplogit.likelihood import cluster_mode, gauss_hermite_rule
+from msplogit.likelihood import gauss_hermite_rule
 from msplogit.model import Cluster, ClusteredDataset, Theta
 from msplogit.optimize import FitOptions, fit, numeric_gradient
 from msplogit.penalties import composite_penalty, jeffreys_penalty
 from msplogit.inference import ContrastMap, attach_se, transform_dataset
 
-from conftest import degenerate_slope_dataset, make_dataset, separation_dataset
+from conftest import degenerate_slope_dataset, make_dataset, separation_dataset, trapezoid_loglik
 
 REF_BETA = np.array([8.05, -6.90, -7.87, -9.64])
 REF_LOGSIGMA = 1.72
@@ -161,21 +160,6 @@ def test_c5_penalty_gradient_oracle():
     report(5, "penalty gradient oracle", f"worst relative error {worst:.2e} over 200 inputs")
 
 
-def _trapezoid_loglik(data, theta):
-    sigma2 = float(np.exp(2.0 * theta.psi[0]))
-    total = 0.0
-    for c in data.clusters:
-        mode = cluster_mode(c, theta)
-        tau = 1.0 / np.sqrt(mode.neg_hessian[0, 0])
-        grid = np.linspace(mode.u_hat[0] - 12 * tau, mode.u_hat[0] + 12 * tau, 20001)
-        eta = (c.X @ theta.beta)[:, None] + c.Z[:, :1] * grid[None, :]
-        g = (c.y[:, None] * eta - np.logaddexp(0.0, eta)).sum(axis=0) - 0.5 * grid**2 / sigma2
-        logw = np.full(grid.size, np.log(grid[1] - grid[0]))
-        logw[[0, -1]] += np.log(0.5)
-        total += logsumexp(g + logw) - 0.5 * np.log(2 * np.pi * sigma2)
-    return total
-
-
 def test_c6_quadrature_oracle():
     rng = np.random.default_rng(606)
     rule50 = gauss_hermite_rule(50)
@@ -188,7 +172,7 @@ def test_c6_quadrature_oracle():
         )
         theta = Theta(rng.normal(scale=0.8, size=2), rng.normal(scale=0.8, size=1))
         quad = m.agq_loglik(data, theta, rule50)
-        worst_quad = max(worst_quad, abs(quad - _trapezoid_loglik(data, theta)))
+        worst_quad = max(worst_quad, abs(quad - trapezoid_loglik(data, theta)))
         worst_ident = max(
             worst_ident,
             abs(m.laplace_loglik(data, theta) - m.agq_loglik(data, theta, rule1)),

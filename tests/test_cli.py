@@ -193,6 +193,25 @@ class TestFitCommand:
     def test_missing_required_setting(self):
         assert main(["fit", "--data", "x.csv", "--response", "y"]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("extra", [
+        ["fit", "--quadrature", "0"],
+        ["fit", "--quadrature", "500"],
+        ["fit", "--config", {"approx": "foo"}],
+        ["fit", "--approx", "agq", "--random", "crabs"],
+        ["simulate", "--replications", "0"],
+    ], ids=["quadrature-0", "quadrature-500", "config-approx", "agq-q2", "replications-0"])
+    def test_invalid_setting_is_an_input_error(self, tmp_path, capsys, extra):
+        args = [
+            write(tmp_path, "config.json", json.dumps(a)) if isinstance(a, dict) else a
+            for a in extra
+        ]
+        code = main(args + [
+            "--data", culcita_path(), "--response", "predation",
+            "--fixed", "crabs,shrimp,both", "--cluster", "block", "--intercept",
+        ])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSimulateCommand:
     def test_byte_identical_repeat_runs(self, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
+from scipy.optimize import minimize
 from scipy.special import expit, logsumexp
 
 import msplogit.likelihood as likelihood
@@ -11,14 +13,14 @@ from msplogit.likelihood import (
     ModeFindingError,
     agq_cluster_logprobs,
     agq_loglik,
-    cluster_mode,
     gauss_hermite_rule,
     laplace_cluster_logprobs,
     laplace_loglik,
 )
-from msplogit.model import Cluster, Theta, psi_to_chol, psi_to_sigma
+from msplogit.model import Cluster, ClusteredDataset, Theta, psi_to_chol, psi_to_sigma
+from msplogit.optimize import FitOptions
 
-from conftest import make_dataset
+from conftest import make_dataset, trapezoid_loglik
 
 
 class TestGaussHermiteRule:
@@ -56,17 +58,36 @@ def _theta(beta, psi):
     return Theta(np.asarray(beta, dtype=float), np.asarray(psi, dtype=float))
 
 
+def u_modes(data, theta):
+    """Cluster modes in the u scale from every solver that serves ``data``.
+
+    At q = 1 the quadrature and Laplace paths return t = u / min(sigma, 1);
+    at q >= 2 the Laplace path returns v with u = L v.  Each is (k, q).
+    """
+    if data.q == 1:
+        s = min(float(np.exp(theta.psi[0])), 1.0)
+        _, t_agq = agq_cluster_logprobs(data, theta, gauss_hermite_rule(5))
+        _, t_laplace = laplace_cluster_logprobs(data, theta)
+        return [s * t_agq[:, None], s * t_laplace[:, None]]
+    _, v = laplace_cluster_logprobs(data, theta)
+    return [v @ psi_to_chol(theta.psi, theta.q).T]
+
+
+def single_cluster(y, X, Z):
+    return ClusteredDataset((Cluster(np.array(y), np.array(X), np.array(Z)),))
+
+
 class TestClusterMode:
     def test_balanced_cluster_mode_is_zero(self):
-        c = Cluster(np.array([0.0, 1.0]), np.ones((2, 1)), np.ones((2, 1)))
+        data = single_cluster([0.0, 1.0], np.ones((2, 1)), np.ones((2, 1)))
         for psi in (-1.0, 0.0, 2.0):
-            mode = cluster_mode(c, _theta([0.0], [psi]))
-            assert abs(mode.u_hat[0]) < 1e-10
+            for u in u_modes(data, _theta([0.0], [psi])):
+                assert abs(u[0, 0]) < 1e-10
 
     def test_single_obs_against_bisection(self):
         # Stationarity for y=1, X=Z=[1], beta=0, sigma^2=1 is
         # (1 - sigmoid(u)) - u = 0; bracketing bisection is the oracle.
-        c = Cluster(np.array([1.0]), np.array([[1.0]]), np.array([[1.0]]))
+        data = single_cluster([1.0], [[1.0]], [[1.0]])
         lo, hi = 0.0, 1.0
         for _ in range(100):
             mid = 0.5 * (lo + hi)
@@ -74,44 +95,35 @@ class TestClusterMode:
                 lo = mid
             else:
                 hi = mid
-        mode = cluster_mode(c, _theta([0.0], [0.0]))
-        assert mode.u_hat[0] == pytest.approx(lo, abs=1e-9)
+        for u in u_modes(data, _theta([0.0], [0.0])):
+            assert u[0, 0] == pytest.approx(lo, abs=1e-9)
 
     def test_tiny_variance_pins_mode_near_zero(self):
         data = make_dataset(k=1, n_i=6, p=2, seed=3)
         # sigma^2 = 1e-6  <=>  psi = log(1e-3)
-        mode = cluster_mode(data.clusters[0], _theta([0.4, -0.2], [np.log(1e-3)]))
-        assert abs(mode.u_hat[0]) < 1e-2
+        for u in u_modes(data, _theta([0.4, -0.2], [np.log(1e-3)])):
+            assert abs(u[0, 0]) < 1e-2
 
     def test_mode_contract(self):
+        # The mode is stationary in u, and the Laplace value is the u-scale
+        # g(u) - 1/2 log det(Z'WZ + Sigma^{-1}) - 1/2 log det Sigma there.
         rng = np.random.default_rng(8)
         for seed in range(10):
             data = make_dataset(k=1, n_i=5, p=2, q=2, seed=seed)
             theta = _theta(rng.normal(size=2), rng.normal(scale=0.6, size=3))
-            mode = cluster_mode(data.clusters[0], theta)
+            [u] = u_modes(data, theta)
+            u = u[0]
             c = data.clusters[0]
-            sigma_inv = np.linalg.inv(psi_to_sigma(theta.psi, 2))
-            eta = c.X @ theta.beta + c.Z @ mode.u_hat
-            grad = c.Z.T @ (c.y - expit(eta)) - sigma_inv @ mode.u_hat
+            sigma = psi_to_sigma(theta.psi, 2)
+            sigma_inv = np.linalg.inv(sigma)
+            eta = c.X @ theta.beta + c.Z @ u
+            mu = expit(eta)
+            grad = c.Z.T @ (c.y - mu) - sigma_inv @ u
             assert np.linalg.norm(grad) < 1e-8
-            assert np.linalg.eigvalsh(mode.neg_hessian).min() > 0
-
-
-def trapezoid_loglik(data, theta):
-    """Brute-force dense trapezoid integration of the q = 1 marginal."""
-    sigma2 = float(np.exp(2.0 * theta.psi[0]))
-    total = 0.0
-    for c in data.clusters:
-        mode = cluster_mode(c, theta)
-        tau = 1.0 / np.sqrt(mode.neg_hessian[0, 0])
-        grid = np.linspace(mode.u_hat[0] - 12 * tau, mode.u_hat[0] + 12 * tau, 20001)
-        xb = c.X @ theta.beta
-        eta = xb[:, None] + c.Z[:, :1] * grid[None, :]
-        g = (c.y[:, None] * eta - np.logaddexp(0.0, eta)).sum(axis=0) - 0.5 * grid**2 / sigma2
-        logw = np.full(grid.size, np.log(grid[1] - grid[0]))
-        logw[[0, -1]] += np.log(0.5)
-        total += logsumexp(g + logw) - 0.5 * np.log(2 * np.pi * sigma2)
-    return total
+            H = c.Z.T @ ((mu * (1.0 - mu))[:, None] * c.Z) + sigma_inv
+            g = np.sum(c.y * eta - np.logaddexp(0.0, eta)) - 0.5 * u @ sigma_inv @ u
+            laplace = g - 0.5 * np.linalg.slogdet(H)[1] - 0.5 * np.linalg.slogdet(sigma)[1]
+            assert laplace_loglik(data, theta) == pytest.approx(laplace, abs=1e-10)
 
 
 class TestAgqLoglik:
@@ -176,51 +188,54 @@ class TestAgqLoglik:
         delta = 0.7
         theta = _theta([0.2, -0.5], [0.1])
         shifted = _theta([0.2 + delta, -0.5], [0.1])
-
-        sigma2 = float(np.exp(2.0 * theta.psi[0]))
-        total = 0.0
-        for c in data.clusters:
-            mode = cluster_mode(c, shifted)
-            tau = 1.0 / np.sqrt(mode.neg_hessian[0, 0])
-            grid = np.linspace(mode.u_hat[0] - 12 * tau, mode.u_hat[0] + 12 * tau, 20001)
-            eta = delta + (c.X @ theta.beta)[:, None] + c.Z[:, :1] * grid[None, :]
-            g = (c.y[:, None] * eta - np.logaddexp(0.0, eta)).sum(axis=0) - 0.5 * grid**2 / sigma2
-            logw = np.full(grid.size, np.log(grid[1] - grid[0]))
-            logw[[0, -1]] += np.log(0.5)
-            total += logsumexp(g + logw) - 0.5 * np.log(2 * np.pi * sigma2)
-
         val = agq_loglik(data, shifted, gauss_hermite_rule(50))
-        assert val == pytest.approx(total, abs=1e-8)
+        assert val == pytest.approx(trapezoid_loglik(data, theta, eta_shift=delta), abs=1e-8)
 
 
 def tensor_grid_loglik(data, theta, Q=60):
     """Dense non-adaptive tensor-product integration for q = 2.
 
-    The grid is centered at each cluster mode and scaled per axis by the
-    prior standard deviations, independent of the curvature the Laplace
-    approximation uses.
+    The grid is centered at each cluster mode, which scipy's trust-region
+    minimizer finds, and scaled per axis by the prior standard
+    deviations, independent of the curvature the Laplace approximation
+    uses.  Nodes come from numpy and Sigma from psi directly; no
+    msplogit numerics are used.
     """
-    rule = gauss_hermite_rule(Q)
-    sigma = psi_to_sigma(theta.psi, 2)
+    nodes, weights = hermgauss(Q)
+    L = np.array([[np.exp(theta.psi[0]), 0.0], [theta.psi[2], np.exp(theta.psi[1])]])
+    sigma = L @ L.T
     sigma_inv = np.linalg.inv(sigma)
     _, logdet = np.linalg.slogdet(sigma)
     scales = np.sqrt(np.diag(sigma))
     total = 0.0
     for c in data.clusters:
-        mode = cluster_mode(c, theta)
         xb = c.X @ theta.beta
-        ua = mode.u_hat[0] + scales[0] * rule.nodes
-        ub = mode.u_hat[1] + scales[1] * rule.nodes
+
+        def neg_exponent(u):
+            eta = xb + c.Z @ u
+            value = -np.sum(c.y * eta - np.logaddexp(0.0, eta)) + 0.5 * u @ sigma_inv @ u
+            return value, -c.Z.T @ (c.y - expit(eta)) + sigma_inv @ u
+
+        def neg_hessian(u):
+            mu = expit(xb + c.Z @ u)
+            return c.Z.T @ ((mu * (1.0 - mu))[:, None] * c.Z) + sigma_inv
+
+        mode = minimize(
+            neg_exponent, np.zeros(2), jac=True, hess=neg_hessian, method="trust-exact",
+            options={"gtol": 1e-10},
+        ).x
+        ua = mode[0] + scales[0] * nodes
+        ub = mode[1] + scales[1] * nodes
         UA, UB = np.meshgrid(ua, ub, indexing="ij")
         eta = xb[None, None, :] + UA[..., None] * c.Z[None, None, :, 0] + UB[..., None] * c.Z[None, None, :, 1]
         g = (c.y * eta - np.logaddexp(0.0, eta)).sum(axis=2) - 0.5 * (
             sigma_inv[0, 0] * UA**2 + 2 * sigma_inv[0, 1] * UA * UB + sigma_inv[1, 1] * UB**2
         )
         logw = (
-            np.log(rule.weights)[:, None]
-            + np.log(rule.weights)[None, :]
-            + rule.nodes[:, None] ** 2
-            + rule.nodes[None, :] ** 2
+            np.log(weights)[:, None]
+            + np.log(weights)[None, :]
+            + nodes[:, None] ** 2
+            + nodes[None, :] ** 2
         )
         total += logsumexp(g + logw) + np.log(scales[0] * scales[1]) - 0.5 * logdet - np.log(2 * np.pi)
     return total
@@ -375,5 +390,13 @@ class TestEvaluator:
             LoglikEvaluator(data, "agq", gauss_hermite_rule(5))
 
     def test_auto_selects_by_dimension(self):
-        assert LoglikEvaluator(make_dataset(q=1), "auto").approx == "agq"
-        assert LoglikEvaluator(make_dataset(q=2, p=2), "auto").approx == "laplace"
+        assert FitOptions().evaluator(make_dataset(q=1)).approx == "agq"
+        assert FitOptions().evaluator(make_dataset(q=2, p=2)).approx == "laplace"
+
+    def test_requires_an_approximation_and_a_rule(self):
+        data = make_dataset(q=1)
+        for approx in ("auto", "quadrature"):
+            with pytest.raises(ValueError):
+                LoglikEvaluator(data, approx)
+        with pytest.raises(ValueError):
+            LoglikEvaluator(data, "agq")

@@ -29,12 +29,16 @@ class TestFitOptions:
         with pytest.raises(ValueError):
             FitOptions(quadrature=0)
         with pytest.raises(ValueError):
+            FitOptions(quadrature=201)
+        with pytest.raises(ValueError):
             FitOptions(approx="quadrature")
 
     def test_approx_resolution(self):
         assert FitOptions().resolve_approx(1) == "agq"
         assert FitOptions().resolve_approx(2) == "laplace"
         assert FitOptions(approx="laplace").resolve_approx(1) == "laplace"
+        with pytest.raises(ValueError):
+            FitOptions(approx="agq").resolve_approx(2)
 
 
 class TestNumericGradient:
@@ -275,6 +279,37 @@ def degenerate_q1_design(draw):
         assume(False)
 
 
+@st.composite
+def degenerate_q2_design(draw):
+    """A small random intercept and slope dataset that passes the rank check.
+
+    Kinds: all-0/all-1 clusters, a slope column of Z nearly equal to its
+    intercept column, or neither.
+    """
+    kind = draw(st.sampled_from(("constant_clusters", "near_collinear_z", "random")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 6))
+    n_i = draw(st.integers(2, 6))
+    eps = draw(st.sampled_from([1e-6, 1e-4, 1e-2]))
+    clusters = []
+    for i in range(k):
+        x = rng.normal(size=n_i)
+        X = np.column_stack([np.ones(n_i), x])
+        if kind == "near_collinear_z":
+            Z = np.column_stack([np.ones(n_i), 1.0 + eps * rng.normal(size=n_i)])
+        else:
+            Z = X.copy()
+        if kind == "constant_clusters":
+            y = np.full(n_i, float(i % 2))
+        else:
+            y = rng.integers(0, 2, n_i).astype(float)
+        clusters.append(Cluster(y, X, Z))
+    try:
+        return ClusteredDataset(tuple(clusters))
+    except DataError:
+        assume(False)
+
+
 class TestFitContract:
     @given(data=degenerate_q1_design(), method=st.sampled_from(["ml", "mspl"]))
     @settings(max_examples=25, deadline=None)
@@ -285,6 +320,16 @@ class TestFitContract:
             return
         assert isinstance(result, FitResult)
         assert result.estimate_flags.shape == (data.p + 1,)
+
+    @given(data=degenerate_q2_design(), method=st.sampled_from(["ml", "mspl"]))
+    @settings(max_examples=15, deadline=None)
+    def test_laplace_fit_returns_result_or_raises_fit_error(self, data, method):
+        try:
+            result = fit(data, FitOptions(method=method))
+        except FitError:
+            return
+        assert isinstance(result, FitResult)
+        assert result.estimate_flags.shape == (data.p + 3,)
 
     def test_non_finite_polish_hessian_ends_the_polish(self):
         # Near-collinear fixed design on 4 rows: the MSPL fit runs off

@@ -89,7 +89,7 @@ class TestJeffreysPenalty:
         X = rng.normal(size=(50, 3))
         beta = rng.normal(size=3)
         pv = jeffreys_penalty(X, beta)
-        fd = numeric_gradient(lambda b: jeffreys_penalty(X, b).value, beta, 1e-6)
+        fd = numeric_gradient(lambda b: jeffreys_penalty(X, b).value, beta)
         assert np.abs(pv.gradient - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-6
         # p = 3: each component bounded by (p/2) max_t |x_ts|
         assert (np.abs(pv.gradient) <= 1.5 * np.abs(X).max(axis=0) + 1e-12).all()
