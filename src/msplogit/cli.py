@@ -24,6 +24,8 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field, fields
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -88,6 +90,12 @@ class RunConfig:
     se_max: float = 50.0
 
     def __post_init__(self):
+        for name, hint in get_type_hints(RunConfig).items():
+            if not _has_type(getattr(self, name), hint):
+                raise DataError(
+                    f"{name} must be of type {RunConfig.__annotations__[name]}, "
+                    f"got {getattr(self, name)!r}"
+                )
         if self.command not in ("fit", "simulate"):
             raise DataError(f"unknown command {self.command!r}")
         if not self.fixed and not self.intercept:
@@ -98,6 +106,8 @@ class RunConfig:
             raise DataError(f"replications must be at least 1, got {self.replications}")
         if self.methods is None:
             self.methods = [self.method]
+        elif not self.methods:
+            raise DataError("methods must name at least one method")
         q = len(self.random) + self.intercept
         try:
             for m in [self.method] + self.methods:
@@ -117,6 +127,21 @@ class RunConfig:
 
     def beta_names(self) -> list[str]:
         return (["intercept"] if self.intercept else []) + list(self.fixed)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a setting's value, as JSON or argparse gives it, has the annotated type."""
+    if get_origin(hint) is UnionType:
+        return any(_has_type(value, alt) for alt in get_args(hint))
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, get_args(hint)[0]) for v in value)
+    if hint is type(None):
+        return value is None
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 def culcita_config(command: str = "fit", **overrides) -> RunConfig:
@@ -181,6 +206,8 @@ def format_fit_document(
     lines.append(f"penalized = {_fmt(result.penalized)}")
     lines.append(f"converged = {_fmt(result.converged)}")
     lines.append(f"iterations = {result.iterations}")
+    lines.append(f"polish_steps = {result.polish_steps}")
+    lines.append(f"evaluations = {result.evaluations}")
     lines.append(f"grad_norm = {_fmt(result.grad_norm)}")
     return "\n".join(lines) + "\n"
 

@@ -1,8 +1,9 @@
 """Wald standard errors, confidence intervals, and contrast transforms.
 
-Standard errors come from the inverse of the negative central-difference
-Hessian of the UNPENALIZED approximate log-likelihood at the estimate
-(for penalized fits too: the penalized and unpenalized estimators share
+Standard errors come from the inverse of the negative Hessian of the
+UNPENALIZED approximate log-likelihood at the estimate, taken as the
+symmetrized central-difference Jacobian of its exact gradient (for
+penalized fits too: the penalized and unpenalized estimators share
 their limiting distribution, and this matches how the reported values
 are defined).  Diagonal entries of the inverse that come out negative
 are marked unavailable rather than reported.
@@ -88,10 +89,10 @@ def wald_se(data: ClusteredDataset, fit_result: FitResult) -> WaldSE:
     evaluator = fit_result.options.evaluator(data)
     p = data.p
 
-    def loglik_vec(v):
-        return evaluator.loglik(Theta.from_vector(v, p))
+    def loglik_gradient(v):
+        return evaluator.value_and_grad(Theta.from_vector(v, p))[1]
 
-    neg_H = -hessian_fd(loglik_vec, fit_result.theta.as_vector())
+    neg_H = -hessian_fd(loglik_gradient, fit_result.theta.as_vector())
     cond = float(np.linalg.cond(neg_H))
     cov = None
     if np.isfinite(cond) and cond <= COND_LIMIT:

@@ -37,6 +37,32 @@ values equal the formulas above to rounding while staying
 well-conditioned even when Sigma is nearly singular - exactly the
 regime an unpenalized fit wanders into.  All reductions are log-space
 log-sum-exp with exponent values taken relative to the mode.
+
+``LoglikEvaluator.value_and_grad`` returns the exact gradient in theta
+from the same mode solve as the value.  The mode's derivative comes
+from the implicit-function theorem: with g the exponent in the
+standardized scale and H its negative Hessian at the mode v_hat,
+
+    d v_hat / d theta = H^{-1} d(grad_v g) / d theta.
+
+* Laplace, q >= 2, per cluster:
+
+      d log p_i / d theta = dg_i/dtheta (v_hat) - 1/2 tr(H_i^{-1} dH_i/dtheta),
+      dH_i/dtheta = sum_r w_r (1 - 2 mu_r) (deta_r/dtheta) a_r a_r'
+                    + sum_r w_r (da_r/dtheta a_r' + a_r da_r'/dtheta),
+
+  with a_r the rows of A = Z L, w = mu (1 - mu), and deta_r/dtheta the
+  total derivative of the linear predictor at the moving mode.
+* Adaptive quadrature, q = 1, with moving nodes t_m = t_hat + sqrt(2)
+  tau x_m and tau = hess^{-1/2}:
+
+      d log p_i / d theta = d log tau / d theta + d log(s / sigma) / d theta
+          + sum_m pi_m [dg/dtheta (t_m) + g'(t_m) (dt_hat/dtheta
+                        + sqrt(2) x_m tau d log tau / d theta)],
+
+  where pi_m is node m's share of the cluster's quadrature sum and s =
+  min(sigma, 1) the integration scale.  The Laplace value at q = 1 is
+  the one-node case (x = 0, pi = 1), so both share one routine.
 """
 
 from __future__ import annotations
@@ -47,7 +73,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import expit, logsumexp
 
-from .model import ClusteredDataset, Theta, psi_to_chol
+from .model import ClusteredDataset, Theta, chol_jacobian, psi_to_chol
 
 __all__ = [
     "QuadratureRule",
@@ -302,8 +328,82 @@ def _modes_general(data: ClusteredDataset, xb: np.ndarray, A: np.ndarray, v0=Non
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Gauss-Hermite quadrature (q = 1)
+# q = 1: adaptive Gauss-Hermite quadrature, and Laplace as its one-node case
 # ---------------------------------------------------------------------------
+
+
+def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=False):
+    """Per-cluster log masses for q = 1, and with ``grad`` their summed gradient.
+
+    ``rule`` is the adaptive quadrature rule, or None for the Laplace
+    value g(t_hat) - 1/2 log hess, which is the one-node rule at the
+    mode.  Returns (logprobs, t_hat, gradient or None).
+    """
+    psi = float(theta.psi[0])
+    sigma = float(np.exp(psi))
+    s, ratio = _q1_scale(sigma)
+    wide = sigma > 1.0
+    log_s_over_sigma = -psi if wide else 0.0
+    xb = data.X @ theta.beta
+    t, g_mode, hess = _modes_q1(data, xb, sigma, warm)
+    log_tau = -0.5 * np.log(hess)
+    tau = np.exp(log_tau)
+
+    offs = data.row_offsets
+    idx = data.row_cluster
+    y = data.y
+    sz = s * data.Z[:, 0]
+    base = xb + sz * t[idx]
+    if rule is None:
+        logprobs = g_mode + log_tau + log_s_over_sigma
+        x, nodes, eta, post = np.zeros(1), t[:, None], base[:, None], np.ones((data.k, 1))
+    else:
+        x = rule.nodes
+        logw = np.log(rule.weights)
+        scale = sz * (np.sqrt(2.0) * tau)[idx]
+        eta = base[:, None] + scale[:, None] * x[None, :]
+        cond = _segsum(y[:, None] * eta - np.logaddexp(0.0, eta), offs)
+        nodes = t[:, None] + (np.sqrt(2.0) * tau)[:, None] * x[None, :]
+        g_nodes = cond - 0.5 * ratio * nodes**2
+        log_terms = logw[None, :] + x[None, :] ** 2 + (g_nodes - g_mode[:, None])
+        log_int_rel = logsumexp(log_terms, axis=1)
+        logprobs = g_mode + log_tau + log_int_rel + log_s_over_sigma - 0.5 * np.log(np.pi)
+        if grad:
+            post = np.exp(log_terms - log_int_rel[:, None])
+    if not grad:
+        return logprobs, t, None
+
+    # At the mode: d eta / d theta at fixed t (columns beta, then psi),
+    # the mode's derivative by the implicit-function theorem, and that
+    # of log tau = -1/2 log hess.
+    p = data.p
+    mu = expit(base)
+    w = mu * (1.0 - mu)
+    E = np.empty((data.n, p + 1))
+    E[:, :p] = data.X
+    E[:, p] = 0.0 if wide else sz * t[idx]
+    C = -_segsum((sz * w)[:, None] * E, offs)
+    C[:, p] += 2.0 * ratio * t if wide else _segsum(sz * (y - mu), offs)
+    dt = C / hess[:, None]
+    dhess = _segsum((sz * sz * w * (1.0 - 2.0 * mu))[:, None] * (E + sz[:, None] * dt[idx]), offs)
+    dhess[:, p] += -2.0 * ratio if wide else 2.0 * (hess - 1.0)
+    dlog_tau = -0.5 * dhess / hess[:, None]
+
+    # At the nodes t_m = t_hat + sqrt(2) tau x_m, weighted by each node's
+    # share ``post`` of the cluster's integral.
+    resid = y[:, None] - expit(eta)
+    slope = _segsum(sz[:, None] * resid, offs) - ratio * nodes
+    weighted = post[idx] * resid
+    gradient = np.empty(p + 1)
+    gradient[:p] = data.X.T @ weighted.sum(axis=1)
+    if wide:
+        gradient[p] = ratio * np.sum(post * nodes**2) - data.k
+    else:
+        gradient[p] = np.sum(sz[:, None] * weighted * nodes[idx])
+    c = np.sum(post * slope, axis=1)
+    e = np.sqrt(2.0) * tau * np.sum(post * slope * x[None, :], axis=1)
+    gradient += c @ dt + (1.0 + e) @ dlog_tau
+    return logprobs, t, gradient
 
 
 def agq_cluster_logprobs(
@@ -320,30 +420,8 @@ def agq_cluster_logprobs(
     """
     if data.q != 1:
         raise ValueError(f"adaptive quadrature supports q = 1 only, got q = {data.q}")
-    sigma = float(np.exp(theta.psi[0]))
-    s, ratio = _q1_scale(sigma)
-    log_s_over_sigma = 0.0 if sigma <= 1.0 else -float(theta.psi[0])
-    xb = data.X @ theta.beta
-    v, g_mode, hess = _modes_q1(data, xb, sigma, warm)
-    log_tau = -0.5 * np.log(hess)
-    tau = np.exp(log_tau)
-
-    offs = data.row_offsets
-    idx = data.row_cluster
-    y = data.y
-    sz = s * data.Z[:, 0]
-    x = rule.nodes
-    logw = np.log(rule.weights)
-
-    base = xb + sz * v[idx]
-    scale = sz * (np.sqrt(2.0) * tau)[idx]
-    eta = base[:, None] + scale[:, None] * x[None, :]
-    cond = _segsum(y[:, None] * eta - np.logaddexp(0.0, eta), offs)
-    v_nodes = v[:, None] + (np.sqrt(2.0) * tau)[:, None] * x[None, :]
-    g_nodes = cond - 0.5 * ratio * v_nodes**2
-    log_int_rel = logsumexp(logw[None, :] + x[None, :] ** 2 + (g_nodes - g_mode[:, None]), axis=1)
-    logprobs = g_mode + log_tau + log_int_rel + log_s_over_sigma - 0.5 * np.log(np.pi)
-    return logprobs, v
+    logprobs, t, _ = _q1_logprobs(data, theta, rule, warm)
+    return logprobs, t
 
 
 def agq_loglik(data: ClusteredDataset, theta: Theta, rule: QuadratureRule) -> float:
@@ -357,13 +435,44 @@ def agq_loglik(data: ClusteredDataset, theta: Theta, rule: QuadratureRule) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _laplace_q1(data: ClusteredDataset, theta: Theta, warm=None):
-    # Shares the inner solver with the quadrature path, which makes
-    # laplace == one-node adaptive quadrature an identity up to rounding.
-    sigma = float(np.exp(theta.psi[0]))
-    log_s_over_sigma = 0.0 if sigma <= 1.0 else -float(theta.psi[0])
-    v, g_mode, hess = _modes_q1(data, data.X @ theta.beta, sigma, warm)
-    return g_mode - 0.5 * np.log(hess) + log_s_over_sigma, v
+def _laplace_general(data: ClusteredDataset, theta: Theta, warm=None, grad=False):
+    """Per-cluster Laplace log masses for q >= 2, and with ``grad`` their summed gradient.
+
+    Returns (logprobs, v_hat, gradient or None).
+    """
+    L = psi_to_chol(theta.psi, theta.q)
+    A = data.Z @ L
+    xb = data.X @ theta.beta
+    v, g, H = _modes_general(data, xb, A, warm)
+    # log det(Z'WZ + Sigma^{-1}) + log det(Sigma) telescopes to
+    # log det(A'WA + I), so the -k/2 log det Sigma term is already
+    # absorbed here.
+    half_logdet = np.log(np.diagonal(np.linalg.cholesky(H), axis1=1, axis2=2)).sum(axis=1)
+    logprobs = g - half_logdet
+    if not grad:
+        return logprobs, v, None
+
+    offs = data.row_offsets
+    idx = data.row_cluster
+    p = data.p
+    v_rows = v[idx]
+    mu = expit(xb + np.einsum("rj,rj->r", A, v_rows))
+    w = mu * (1.0 - mu)
+    resid = data.y - mu
+    # dA[r, k] = d a_r / d psi_k; E = d eta / d theta at fixed v.
+    dA = np.einsum("ra,kab->rkb", data.Z, chol_jacobian(theta.psi, theta.q))
+    E = np.concatenate([data.X, np.einsum("rkb,rb->rk", dA, v_rows)], axis=1)
+    # d v_hat / d theta = H^{-1} d(score) / d theta (implicit-function theorem).
+    C = -_segsum(A[:, :, None] * (w[:, None] * E)[:, None, :], offs)
+    C[:, :, p:] += _segsum(dA.transpose(0, 2, 1) * resid[:, None, None], offs)
+    H_inv = np.linalg.inv(H)
+    deta = E + np.einsum("rb,rbd->rd", A, (H_inv @ C)[idx])
+    B = np.einsum("rab,rb->ra", H_inv[idx], A)
+    leverage = np.einsum("ra,ra->r", A, B)
+    # g at the mode (envelope theorem), less 1/2 tr(H^{-1} dH / d theta).
+    gradient = E.T @ resid - 0.5 * (deta.T @ (w * (1.0 - 2.0 * mu) * leverage))
+    gradient[p:] -= np.einsum("rkb,rb->k", dA, w[:, None] * B)
+    return logprobs, v, gradient
 
 
 def laplace_cluster_logprobs(data: ClusteredDataset, theta: Theta, warm=None):
@@ -374,15 +483,10 @@ def laplace_cluster_logprobs(data: ClusteredDataset, theta: Theta, warm=None):
     stacked solver in the standardized scale.
     """
     if data.q == 1:
-        return _laplace_q1(data, theta, warm)
-    A = data.Z @ psi_to_chol(theta.psi, theta.q)
-    xb = data.X @ theta.beta
-    v, g, H = _modes_general(data, xb, A, warm)
-    # log det(Z'WZ + Sigma^{-1}) + log det(Sigma) telescopes to
-    # log det(A'WA + I), so the -k/2 log det Sigma term is already
-    # absorbed here.
-    half_logdet = np.log(np.diagonal(np.linalg.cholesky(H), axis1=1, axis2=2)).sum(axis=1)
-    return g - half_logdet, v
+        logprobs, warm, _ = _q1_logprobs(data, theta, None, warm)
+    else:
+        logprobs, warm, _ = _laplace_general(data, theta, warm)
+    return logprobs, warm
 
 
 def laplace_loglik(data: ClusteredDataset, theta: Theta) -> float:
@@ -421,13 +525,28 @@ class LoglikEvaluator:
         self.rule = rule
         self._warm = None
 
-    def cluster_logprobs(self, theta: Theta) -> np.ndarray:
-        if self.approx == "agq":
-            logprobs, warm = agq_cluster_logprobs(self.data, theta, self.rule, self._warm)
+    def _evaluate(self, theta: Theta, grad: bool):
+        if self.data.q == 1:
+            rule = self.rule if self.approx == "agq" else None
+            logprobs, self._warm, gradient = _q1_logprobs(self.data, theta, rule, self._warm, grad)
         else:
-            logprobs, warm = laplace_cluster_logprobs(self.data, theta, self._warm)
-        self._warm = warm
-        return logprobs
+            logprobs, self._warm, gradient = _laplace_general(self.data, theta, self._warm, grad)
+        return logprobs, gradient
+
+    def cluster_logprobs(self, theta: Theta) -> np.ndarray:
+        return self._evaluate(theta, False)[0]
 
     def loglik(self, theta: Theta) -> float:
         return float(self.cluster_logprobs(theta).sum())
+
+    def value_and_grad(self, theta: Theta) -> tuple[float, np.ndarray]:
+        """The approximate log-likelihood and its exact gradient in theta.
+
+        One mode solve gives both; the value equals ``loglik(theta)``
+        from the same warm state.  A non-finite gradient raises
+        ``ModeFindingError``.
+        """
+        logprobs, gradient = self._evaluate(theta, True)
+        if not np.isfinite(gradient).all():
+            raise ModeFindingError(f"non-finite log-likelihood gradient {gradient}")
+        return float(logprobs.sum()), gradient

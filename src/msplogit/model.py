@@ -25,6 +25,7 @@ __all__ = [
     "n_psi",
     "psi_dim",
     "psi_to_chol",
+    "chol_jacobian",
     "chol_to_psi",
     "psi_to_sigma",
     "sigma_to_psi",
@@ -258,6 +259,21 @@ def psi_to_chol(psi: np.ndarray, q: int) -> np.ndarray:
         rows, cols = _tril_indices(q)
         L[rows, cols] = psi[q:]
     return L
+
+
+def chol_jacobian(psi: np.ndarray, q: int) -> np.ndarray:
+    """Derivatives of the Cholesky factor, shape (len(psi), q, q).
+
+    Entry k is dL/dpsi_k: exp(psi_k) at (k, k) for a log-diagonal
+    parameter, one at its (row, column) for an off-diagonal one.
+    """
+    L = psi_to_chol(psi, q)
+    dL = np.zeros((n_psi(q), q, q))
+    dL[np.arange(q), np.arange(q), np.arange(q)] = np.diag(L)
+    if q > 1:
+        rows, cols = _tril_indices(q)
+        dL[np.arange(q, n_psi(q)), rows, cols] = 1.0
+    return dL
 
 
 def chol_to_psi(L: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Quasi-Newton maximization of the (penalized) approximate log-likelihood.
 
 The objective is the approximate marginal log-likelihood, optionally
-plus the scaled composite penalty.  The likelihood part is
-differentiated numerically (central differences); the penalty gradient
-is analytic.  Maximization is BFGS with a Wolfe line search; if the
-line search stagnates before the gradient tolerance is met, a single
-Nelder-Mead polish is run and BFGS restarted from its result.
+plus the scaled composite penalty.  Both gradients are exact: the
+likelihood's comes from the same mode solve as its value
+(``LoglikEvaluator.value_and_grad``), the penalty's is analytic.
+Maximization is BFGS with a Wolfe line search, given the objective
+and its gradient in one call per point.  Where the line search stalls
+before the gradient tolerance is met, Newton steps on the
+central-difference Jacobian of the gradient polish the estimate.
 
 The gradient tolerance ``GRAD_TOL``, the iteration cap ``MAX_ITER`` and
 the finite-difference step ``FD_STEP_SCALE`` are constants of this
@@ -40,6 +42,7 @@ __all__ = [
     "FitError",
     "GradientError",
     "objective",
+    "objective_and_gradient",
     "numeric_gradient",
     "fit",
     "parameter_names",
@@ -58,7 +61,7 @@ class FitError(RuntimeError):
 
 
 class GradientError(RuntimeError):
-    """A finite-difference probe produced a non-finite value."""
+    """A probe of ``numeric_gradient`` produced a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -116,9 +119,12 @@ class FitResult:
 
     ``loglik`` is the unpenalized approximate log-likelihood at the
     estimate; ``penalized`` is the maximized objective (identical to
-    ``loglik`` for ML).  ``se`` and ``se_available`` are set once the
-    inference module attaches standard errors.  ``objective_trace``
-    records the objective at each accepted iterate.
+    ``loglik`` for ML).  ``iterations`` counts BFGS iterations and
+    ``polish_steps`` the Newton steps after them; ``evaluations`` counts
+    the fit's calls of ``LoglikEvaluator.value_and_grad``.  ``se`` and
+    ``se_available`` are set once the inference module attaches standard
+    errors.  ``objective_trace`` records the objective at each BFGS
+    iterate.
 
     The flags are derived from the estimate, its SEs and the thresholds
     in ``options``, one entry per parameter: ``estimate_flags`` marks
@@ -132,6 +138,8 @@ class FitResult:
     penalized: float
     converged: bool
     iterations: int
+    polish_steps: int
+    evaluations: int
     grad_norm: float
     options: FitOptions
     se: np.ndarray | None = None
@@ -169,37 +177,53 @@ def parameter_names(data: ClusteredDataset, fixed_names=None) -> list[str]:
     ]
 
 
+def objective_and_gradient(
+    data: ClusteredDataset,
+    theta: Theta,
+    options: FitOptions,
+    evaluator: LoglikEvaluator | None = None,
+) -> tuple[float, np.ndarray]:
+    """The objective ``fit`` maximizes, and its gradient, from one mode solve.
+
+    ML: the approximate log-likelihood; MSPL: that plus the scaled
+    composite penalty, or -inf (with a NaN gradient) where the
+    penalty's information matrix is singular.  A non-finite likelihood
+    gradient raises ``ModeFindingError``.
+    """
+    if evaluator is None:
+        evaluator = options.evaluator(data)
+    value, grad = evaluator.value_and_grad(theta)
+    if not np.isfinite(grad).all():
+        raise ModeFindingError(f"non-finite log-likelihood gradient {grad}")
+    if options.method == "mspl":
+        try:
+            penalty = composite_penalty(data, theta)
+        except SingularInformationError:
+            # Weights underflowed at an extreme probe point; the penalty
+            # limit there is -infinity, which the line search backs away from.
+            return -np.inf, np.full(theta.dim, np.nan)
+        value += penalty.value
+        grad = grad + penalty.gradient
+    return value, grad
+
+
 def objective(
     data: ClusteredDataset,
     theta: Theta,
     options: FitOptions,
     evaluator: LoglikEvaluator | None = None,
 ) -> float:
-    """The objective ``fit`` maximizes.
-
-    ML: the approximate log-likelihood; MSPL: that plus the scaled
-    composite penalty, or -inf where the penalty's information matrix
-    is singular.
-    """
-    if evaluator is None:
-        evaluator = options.evaluator(data)
-    value = evaluator.loglik(theta)
-    if options.method == "mspl":
-        try:
-            value += composite_penalty(data, theta).value
-        except SingularInformationError:
-            # Weights underflowed at an extreme probe point; the penalty
-            # limit there is -infinity, which the line search backs away from.
-            return -np.inf
-    return value
+    """The objective ``fit`` maximizes: the value of ``objective_and_gradient``."""
+    return objective_and_gradient(data, theta, options, evaluator)[0]
 
 
 def numeric_gradient(f, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient with per-coordinate relative steps.
 
-    Step in coordinate j is ``FD_STEP_SCALE * max(1, |x_j|)``.  A
-    non-finite probe value raises ``GradientError`` naming the
-    coordinate.
+    The finite-difference reference that analytic gradients are tested
+    against; no fit calls it.  Step in coordinate j is
+    ``FD_STEP_SCALE * max(1, |x_j|)``.  A non-finite probe value raises
+    ``GradientError`` naming the coordinate.
     """
     x = np.asarray(x, dtype=float)
     grad = np.empty_like(x)
@@ -220,34 +244,22 @@ def numeric_gradient(f, x: np.ndarray) -> np.ndarray:
     return grad
 
 
-HESS_STEP_SCALE = float(np.finfo(float).eps) ** 0.25
+def hessian_fd(grad, x: np.ndarray) -> np.ndarray:
+    """Hessian as the symmetrized central-difference Jacobian of ``grad``.
 
-
-def hessian_fd(f, x: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian with per-coordinate relative steps."""
+    Step in coordinate j is ``FD_STEP_SCALE * max(1, |x_j|)``; 2d calls
+    of ``grad``.
+    """
     x = np.asarray(x, dtype=float)
-    d = x.size
-    h = HESS_STEP_SCALE * np.maximum(1.0, np.abs(x))
-    H = np.empty((d, d))
-    f0 = f(x)
-
-    def at(*pairs):
+    H = np.empty((x.size, x.size))
+    for j in range(x.size):
+        h = FD_STEP_SCALE * max(1.0, abs(x[j]))
         xp = x.copy()
-        for j, s in pairs:
-            xp[j] += s
-        return f(xp)
-
-    for i in range(d):
-        H[i, i] = (at((i, h[i])) - 2.0 * f0 + at((i, -h[i]))) / h[i] ** 2
-    for i in range(d):
-        for j in range(i + 1, d):
-            H[i, j] = H[j, i] = (
-                at((i, h[i]), (j, h[j]))
-                - at((i, h[i]), (j, -h[j]))
-                - at((i, -h[i]), (j, h[j]))
-                + at((i, -h[i]), (j, -h[j]))
-            ) / (4.0 * h[i] * h[j])
-    return H
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        H[:, j] = (grad(xp) - grad(xm)) / (2.0 * h)
+    return 0.5 * (H + H.T)
 
 
 def _penalized_logistic_start(X: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
@@ -298,35 +310,20 @@ def _start_theta(data: ClusteredDataset, options: FitOptions) -> Theta:
     return Theta(beta0, np.zeros(n_psi(data.q)))
 
 
-class _Memo:
-    """Remembers the most recent evaluation so callbacks are free."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self._x = None
-        self._f = None
-
-    def __call__(self, x):
-        if self._x is not None and np.array_equal(x, self._x):
-            return self._f
-        self._f = self.fn(x)
-        self._x = np.array(x, copy=True)
-        return self._f
-
-
-def _newton_polish(objective_vec, gradient_vec, x, grad_norm, tol):
-    """Gradient-polishing Newton steps on the finite-difference Hessian.
+def _newton_polish(objective_and_grad, x, value, grad):
+    """Newton steps on the Jacobian of the exact gradient.
 
     Accepts a step only when it reduces the gradient norm; leaves the
     point untouched when the Hessian is unusable (for example on the
-    flat ridge of an unpenalized fit with separated data).
+    flat ridge of an unpenalized fit with separated data).  Returns the
+    point, its objective value and gradient, and the steps taken.
     """
-    grad = gradient_vec(x)
+    grad_norm = float(np.linalg.norm(grad))
     steps = 0
     for _ in range(POLISH_STEPS):
-        if grad_norm <= tol:
+        if grad_norm <= GRAD_TOL:
             break
-        H = hessian_fd(objective_vec, x)
+        H = hessian_fd(lambda v: objective_and_grad(v)[1], x)
         try:
             delta = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
@@ -338,21 +335,17 @@ def _newton_polish(objective_vec, gradient_vec, x, grad_norm, tol):
         t = 1.0
         for _ in range(6):
             x_new = x - t * delta
-            try:
-                g_new = gradient_vec(x_new)
-            except GradientError:
-                t /= 4.0
-                continue
-            gn_new = float(np.linalg.norm(g_new))
-            if gn_new < grad_norm:
-                x, grad, grad_norm = x_new, g_new, gn_new
+            value_new, grad_new = objective_and_grad(x_new)
+            if float(np.linalg.norm(grad_new)) < grad_norm:
+                x, value, grad = x_new, value_new, grad_new
+                grad_norm = float(np.linalg.norm(grad))
                 improved = True
                 break
             t /= 4.0
         steps += 1
         if not improved:
             break
-    return x, grad_norm, steps
+    return x, value, grad, steps
 
 
 def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult:
@@ -364,95 +357,51 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
     """
     evaluator = options.evaluator(data)
     p = data.p
-    mspl = options.method == "mspl"
+    evaluations = 0
 
-    def loglik_vec(v):
-        return evaluator.loglik(Theta.from_vector(v, p))
+    def objective_and_grad(v):
+        nonlocal evaluations
+        evaluations += 1
+        return objective_and_gradient(data, Theta.from_vector(v, p), options, evaluator)
 
-    def objective_vec(v):
-        return objective(data, Theta.from_vector(v, p), options, evaluator)
-
-    # Every gradient of the fit is kept. When SciPy's BFGS falls back from
-    # its first line search to its second, it asks again for trial points
-    # of the first; a recomputed gradient there differs by the inner
-    # solver's warm-start noise, and the line search stalls more often.
-    gradients = {}
-
-    def gradient_vec(v):
-        key = np.asarray(v, dtype=float).tobytes()
-        if key not in gradients:
-            grad = numeric_gradient(loglik_vec, v)
-            if mspl:
-                grad = grad + composite_penalty(data, Theta.from_vector(v, p)).gradient
-            gradients[key] = grad
-        return gradients[key]
-
-    memo = _Memo(lambda v: -objective_vec(v))
-    neg_grad = lambda v: -gradient_vec(v)
+    def negated(v):
+        value, grad = objective_and_grad(v)
+        return -value, -grad
 
     trace = []
 
-    def record(xk):
-        trace.append(-memo(xk))
+    def record(intermediate_result):
+        trace.append(-intermediate_result.fun)
 
     x0 = _start_theta(data, options).as_vector()
-    bfgs_opts = {"gtol": GRAD_TOL, "norm": 2, "maxiter": MAX_ITER}
-
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = minimize(
-                memo, x0, jac=neg_grad, method="BFGS", options=bfgs_opts,
-                callback=record,
+                negated, x0, jac=True, method="BFGS", callback=record,
+                options={"gtol": GRAD_TOL, "norm": 2, "maxiter": MAX_ITER},
             )
-            iterations = res.nit
-            x_best, f_best = res.x, res.fun
-            stagnated = (not res.success) and res.status == 2
-            if stagnated and iterations < MAX_ITER:
-                # One restart: simplex polish, then resume BFGS from there.
-                polish = minimize(
-                    memo, x_best, method="Nelder-Mead",
-                    options={
-                        "maxiter": 200 * x_best.size,
-                        "xatol": 1e-9,
-                        "fatol": 1e-12,
-                    },
-                )
-                if polish.fun <= f_best:
-                    x_best, f_best = polish.x, polish.fun
-                res = minimize(
-                    memo, x_best, jac=neg_grad, method="BFGS",
-                    options={**bfgs_opts, "maxiter": MAX_ITER - iterations},
-                    callback=record,
-                )
-                iterations += res.nit
-                if res.fun <= f_best:
-                    x_best, f_best = res.x, res.fun
-        grad_norm = float(np.linalg.norm(gradient_vec(x_best)))
-        if grad_norm > GRAD_TOL:
-            # Near the optimum the line search stalls once objective
-            # gains shrink below float rounding; a Newton step on the
-            # finite-difference Hessian still reduces the gradient.
-            x_best, grad_norm, polish_steps = _newton_polish(
-                objective_vec, gradient_vec, x_best, grad_norm, GRAD_TOL
+            # Near the optimum the line search stalls once objective gains
+            # shrink below float rounding; a Newton step still reduces the
+            # gradient.  SciPy's result carries the objective and gradient.
+            x_best, value, grad, polish_steps = _newton_polish(
+                objective_and_grad, res.x, -res.fun, -res.jac
             )
-            iterations += polish_steps
-            f_best = -objective_vec(x_best)
         theta_hat = Theta.from_vector(x_best, p)
         loglik_hat = evaluator.loglik(theta_hat)
-    except (ModeFindingError, GradientError, SingularInformationError) as err:
+    except (ModeFindingError, SingularInformationError) as err:
         raise FitError(f"objective evaluation failed: {err}") from err
 
-    penalized = float(-f_best)
-    converged = bool(grad_norm <= GRAD_TOL)
+    grad_norm = float(np.linalg.norm(grad))
     return FitResult(
         theta=theta_hat,
         loglik=float(loglik_hat),
-        penalized=penalized,
-        converged=converged,
-        iterations=int(iterations),
+        penalized=float(value),
+        converged=bool(grad_norm <= GRAD_TOL),
+        iterations=int(res.nit),
+        polish_steps=polish_steps,
+        evaluations=evaluations,
         grad_norm=grad_norm,
         options=options,
         objective_trace=np.array(trace),
     )
-

@@ -199,7 +199,10 @@ class TestFitCommand:
         ["fit", "--config", {"approx": "foo"}],
         ["fit", "--approx", "agq", "--random", "crabs"],
         ["simulate", "--replications", "0"],
-    ], ids=["quadrature-0", "quadrature-500", "config-approx", "agq-q2", "replications-0"])
+        ["fit", "--config", {"quadrature": "20"}],
+        ["simulate", "--config", {"methods": []}],
+    ], ids=["quadrature-0", "quadrature-500", "config-approx", "agq-q2", "replications-0",
+            "config-quadrature-string", "config-no-methods"])
     def test_invalid_setting_is_an_input_error(self, tmp_path, capsys, extra):
         args = [
             write(tmp_path, "config.json", json.dumps(a)) if isinstance(a, dict) else a

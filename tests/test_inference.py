@@ -10,9 +10,11 @@ from msplogit.inference import (
     wald_ci,
     wald_se,
 )
+from msplogit.model import Theta
 from msplogit.optimize import FitOptions, fit, hessian_fd
+from msplogit.simulate import simulate_responses
 
-from conftest import degenerate_slope_dataset, make_dataset
+from conftest import make_dataset
 
 
 class TestContrastMap:
@@ -65,11 +67,7 @@ class TestWaldSe:
     def test_quadratic_closed_form(self):
         # Loglik shaped like -1/2 sum theta_j^2 / v_j has SE_j = sqrt(v_j).
         v = np.array([4.0, 0.25, 1.0])
-
-        def f(x):
-            return -0.5 * float(np.sum(x * x / v))
-
-        H = hessian_fd(f, np.zeros(3))
+        H = hessian_fd(lambda x: -x / v, np.zeros(3))
         cov = np.linalg.inv(-H)
         assert np.allclose(np.sqrt(np.diag(cov)), np.sqrt(v), atol=1e-6)
 
@@ -79,17 +77,35 @@ class TestWaldSe:
         assert wald.available.all()
         assert np.allclose(wald.se, [3.21, 3.00, 3.26, 3.61, 0.44], atol=0.05)
 
-    def test_negative_inverse_diagonal_marked_unavailable(self):
-        # The degenerate random-slope design pushes an unpenalized fit to
-        # a near-singular Hessian whose inverse can have negative
-        # diagonal entries; those are flagged instead of reported.
-        data = degenerate_slope_dataset(seed=2)
-        result = fit(data, FitOptions(method="ml", approx="laplace"))
+    def test_negative_inverse_diagonal_marked_unavailable(self, culcita_full, reference_mspl_point):
+        # A nearly separated culcita study sample (7 of 10 clusters all 0
+        # or all 1): the unpenalized Hessian at the MSPL estimate is
+        # indefinite, and the inverse has negative diagonal entries for
+        # the intercept and log sigma; those are flagged instead of reported.
+        seed = int(np.random.SeedSequence([9, 1]).generate_state(1)[0])
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(9,))))
+        data = simulate_responses(culcita_full, reference_mspl_point, rng)
+        options = FitOptions(method="mspl", quadrature=100)
+        result = fit(data, options)
+        assert result.converged
         wald = wald_se(data, result)
-        assert not wald.available.all()
+        assert np.array_equal(wald.available, [False, True, True, True, False])
         assert np.isnan(wald.se[~wald.available]).all()
-        if wald.available.any():
-            assert np.isfinite(wald.se[wald.available]).all()
+        assert np.isfinite(wald.se[wald.available]).all()
+        assert (np.diag(wald.cov)[~wald.available] < 0).all()
+
+        # Indefinite by a five-point stencil of cold gradients too.
+        x = result.theta.as_vector()
+
+        def gradient(v):
+            return options.evaluator(data).value_and_grad(Theta.from_vector(v, data.p))[1]
+
+        H = np.empty((x.size, x.size))
+        for j in range(x.size):
+            e = np.eye(x.size)[j] * 1e-3 * max(1.0, abs(x[j]))
+            H[:, j] = (gradient(x - 2 * e) - 8 * gradient(x - e) + 8 * gradient(x + e)
+                       - gradient(x + 2 * e)) / (12 * e[j])
+        assert np.linalg.eigvalsh(-0.5 * (H + H.T)).min() < -1e-2
 
     def test_singular_hessian_all_unavailable(self):
         # direct check of the inversion guard through a synthetic evaluator

@@ -400,3 +400,67 @@ class TestEvaluator:
                 LoglikEvaluator(data, approx)
         with pytest.raises(ValueError):
             LoglikEvaluator(data, "agq")
+
+
+def stencil_gradient(make_evaluator, theta, h=1e-3):
+    """Five-point central differences of cold log-likelihood evaluations."""
+    x = theta.as_vector()
+    grad = np.empty_like(x)
+    for j in range(x.size):
+        values = []
+        for step in (-2, -1, 1, 2):
+            moved = x.copy()
+            moved[j] += step * h
+            values.append(make_evaluator().loglik(Theta.from_vector(moved, theta.p)))
+        grad[j] = (values[0] - 8 * values[1] + 8 * values[2] - values[3]) / (12 * h)
+    return grad
+
+
+def assert_exact_gradient(data, approx, rule, theta):
+    make_evaluator = lambda: LoglikEvaluator(data, approx, rule)  # noqa: E731
+    value, grad = make_evaluator().value_and_grad(theta)
+    assert value == make_evaluator().loglik(theta)
+    assert np.abs(grad - stencil_gradient(make_evaluator, theta)).max() < 1e-7
+
+
+def extreme_q1_clusters():
+    """An all-0, an all-1 and a completely separated cluster, plus a mixed one."""
+    x = np.array([-1.5, -0.5, 0.5, 1.5])
+    X = np.column_stack([np.ones(4), x])
+    Z = np.ones((4, 1))
+    return ClusteredDataset(tuple(
+        Cluster(y, X, Z) for y in (np.zeros(4), np.ones(4), (x > 0).astype(float), np.array([0.0, 1.0, 0.0, 1.0]))
+    ))
+
+
+class TestValueAndGrad:
+    """value_and_grad against a five-point stencil (h = 1e-3) of cold values."""
+
+    @pytest.mark.parametrize("log_sigma", [-10.0, -3.0, 0.0, 1.72, 3.7, 5.0])
+    @pytest.mark.parametrize("Q", [1, 5, 100, "laplace"])
+    def test_q1_over_sigma(self, culcita_reduced, reference_mspl_point, Q, log_sigma):
+        theta = Theta(reference_mspl_point.beta, np.array([log_sigma]))
+        if Q == "laplace":
+            assert_exact_gradient(culcita_reduced, "laplace", None, theta)
+        else:
+            assert_exact_gradient(culcita_reduced, "agq", gauss_hermite_rule(Q), theta)
+
+    @pytest.mark.parametrize("log_sigma", [-3.0, 1.0, 4.0])
+    @pytest.mark.parametrize("approx", ["agq", "laplace"])
+    def test_constant_and_separated_clusters(self, approx, log_sigma):
+        rule = gauss_hermite_rule(20) if approx == "agq" else None
+        theta = _theta([0.4, 3.0], [log_sigma])
+        assert_exact_gradient(extreme_q1_clusters(), approx, rule, theta)
+
+    @pytest.mark.parametrize("psi", [
+        [0.3, -12.0, 0.2],  # log l22 = -12
+        [0.0, np.log(0.0141435), 1.0],  # correlation 0.9999
+    ], ids=["log_l22=-12", "corr=0.9999"])
+    def test_q2(self, psi):
+        data = make_dataset(k=12, n_i=6, p=2, q=2, seed=3, beta=[0.3, -0.6], psi=[0.0, -1.0, 0.3])
+        assert_exact_gradient(data, "laplace", None, _theta([0.3, -0.6], psi))
+
+    def test_q3(self):
+        psi = [0.0, -1.0, -0.5, 0.3, 0.1, -0.2]
+        data = make_dataset(k=10, n_i=6, p=2, q=3, seed=4, beta=[0.3, -0.6], psi=psi)
+        assert_exact_gradient(data, "laplace", None, _theta([0.3, -0.6], psi))
