@@ -23,9 +23,7 @@ from .likelihood import (
     LoglikEvaluator,
     ModeFindingError,
     QuadratureRule,
-    agq_loglik,
     gauss_hermite_rule,
-    laplace_loglik,
 )
 from .penalties import (
     PenaltyValue,
@@ -40,10 +38,7 @@ from .optimize import (
     FitError,
     FitOptions,
     FitResult,
-    GradientError,
     fit,
-    numeric_gradient,
-    objective,
 )
 from .inference import (
     ContrastMap,
@@ -75,9 +70,7 @@ __all__ = [
     "LoglikEvaluator",
     "ModeFindingError",
     "QuadratureRule",
-    "agq_loglik",
     "gauss_hermite_rule",
-    "laplace_loglik",
     "PenaltyValue",
     "SingularInformationError",
     "composite_penalty",
@@ -88,10 +81,7 @@ __all__ = [
     "FitError",
     "FitOptions",
     "FitResult",
-    "GradientError",
     "fit",
-    "numeric_gradient",
-    "objective",
     "ContrastMap",
     "WaldSE",
     "attach_se",

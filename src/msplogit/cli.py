@@ -77,17 +77,17 @@ class RunConfig:
     fixed: list[str] = field(default_factory=list)
     random: list[str] = field(default_factory=list)
     intercept: bool = False
-    method: str = "mspl"
+    method: str = FitOptions.method
     methods: list[str] | None = None  # simulate only; defaults to [method]
-    approx: str = "auto"
-    quadrature: int = 100
+    approx: str = FitOptions.approx
+    quadrature: int = FitOptions.quadrature
     seed: int = 0
     replications: int = 500
     theta_true: list[float] | None = None
     out: str | None = None
-    beta_max: float = 15.0
-    psi_max: float = 10.0
-    se_max: float = 50.0
+    beta_max: float = FitOptions.beta_max
+    psi_max: float = FitOptions.psi_max
+    se_max: float = FitOptions.se_max
 
     def __post_init__(self):
         for name, hint in get_type_hints(RunConfig).items():

@@ -29,8 +29,9 @@ def load_csv(path: str, config) -> ClusteredDataset:
     ``config`` names the columns through its ``response``, ``cluster``,
     ``fixed``, ``random`` and ``intercept`` attributes, as
     ``cli.RunConfig`` does; nothing else of it is read.  Rows are
-    grouped by the cluster column in order of first appearance.  When ``config.intercept`` is set, a column of ones is
-    prepended to both the fixed-effects and the random-effects designs.
+    grouped by the cluster column in order of first appearance.  When
+    ``config.intercept`` is set, a column of ones is prepended to both
+    the fixed-effects and the random-effects designs.
     Structural problems raise ``DataError`` naming the offending line.
     """
     try:

@@ -22,8 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtri
 
+from .likelihood import ModeFindingError
 from .model import ClusteredDataset, Theta
-from .optimize import FitResult, hessian_fd
+from .optimize import FitError, FitResult, hessian_fd
 from .penalties import scale_factor
 
 __all__ = [
@@ -52,7 +53,9 @@ class ContrastMap:
         C = np.array(self.C, dtype=float)
         if C.ndim != 2 or C.shape[0] != C.shape[1]:
             raise ValueError(f"contrast matrix must be square, got shape {C.shape}")
-        if abs(np.linalg.det(C)) <= 1e-12:
+        # Rank by SVD against machine epsilon: a change of units such as
+        # 1e-4 * I is invertible however small its determinant.
+        if np.linalg.matrix_rank(C) < C.shape[0]:
             raise ValueError("contrast matrix is not invertible")
         C.setflags(write=False)
         object.__setattr__(self, "C", C)
@@ -84,7 +87,8 @@ def wald_se(data: ClusteredDataset, fit_result: FitResult) -> WaldSE:
     """Standard errors from the negative Hessian of the approximate loglik.
 
     The Hessian is of the unpenalized approximate log-likelihood at the
-    fitted estimate, regardless of the fitting method.
+    fitted estimate, regardless of the fitting method.  A breakdown of
+    a gradient evaluation raises ``FitError``, as in ``fit``.
     """
     evaluator = fit_result.options.evaluator(data)
     p = data.p
@@ -92,7 +96,10 @@ def wald_se(data: ClusteredDataset, fit_result: FitResult) -> WaldSE:
     def loglik_gradient(v):
         return evaluator.value_and_grad(Theta.from_vector(v, p))[1]
 
-    neg_H = -hessian_fd(loglik_gradient, fit_result.theta.as_vector())
+    try:
+        neg_H = -hessian_fd(loglik_gradient, fit_result.theta.as_vector())
+    except ModeFindingError as err:
+        raise FitError(f"standard-error evaluation failed: {err}") from err
     cond = float(np.linalg.cond(neg_H))
     cov = None
     if np.isfinite(cond) and cond <= COND_LIMIT:
@@ -150,7 +157,7 @@ def transform_fit(
     pen_shift = 0.0
     if fit_result.options.method == "mspl":
         c = scale_factor(data.p, data.n)
-        pen_shift = -c * float(np.log(abs(np.linalg.det(cmap.C))))
+        pen_shift = -c * float(np.linalg.slogdet(cmap.C)[1])
     out = replace(
         fit_result,
         theta=theta_new,

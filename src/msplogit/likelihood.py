@@ -79,11 +79,8 @@ __all__ = [
     "QuadratureRule",
     "ModeFindingError",
     "gauss_hermite_rule",
-    "agq_loglik",
-    "agq_cluster_logprobs",
-    "laplace_loglik",
-    "laplace_cluster_logprobs",
     "LoglikEvaluator",
+    "MAX_QUADRATURE",
 ]
 
 MAX_QUADRATURE = 200  # largest Gauss-Hermite rule; the smallest has one node
@@ -116,10 +113,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.nodes.shape[0]
 
 
 def gauss_hermite_rule(Q: int) -> QuadratureRule:
@@ -406,32 +399,8 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     return logprobs, t, gradient
 
 
-def agq_cluster_logprobs(
-    data: ClusteredDataset,
-    theta: Theta,
-    rule: QuadratureRule,
-    warm=None,
-):
-    """Per-cluster log probability masses under adaptive quadrature (q = 1).
-
-    Returns (logprobs, warm_state); the sum of logprobs is the
-    approximate log-likelihood and each entry is the log of a
-    probability mass in (0, 1].
-    """
-    if data.q != 1:
-        raise ValueError(f"adaptive quadrature supports q = 1 only, got q = {data.q}")
-    logprobs, t, _ = _q1_logprobs(data, theta, rule, warm)
-    return logprobs, t
-
-
-def agq_loglik(data: ClusteredDataset, theta: Theta, rule: QuadratureRule) -> float:
-    """Adaptive Gauss-Hermite approximation of the marginal log-likelihood."""
-    logprobs, _ = agq_cluster_logprobs(data, theta, rule)
-    return float(logprobs.sum())
-
-
 # ---------------------------------------------------------------------------
-# Laplace approximation (any q)
+# Laplace approximation, q >= 2
 # ---------------------------------------------------------------------------
 
 
@@ -475,34 +444,17 @@ def _laplace_general(data: ClusteredDataset, theta: Theta, warm=None, grad=False
     return logprobs, v, gradient
 
 
-def laplace_cluster_logprobs(data: ClusteredDataset, theta: Theta, warm=None):
-    """Per-cluster log probability masses under the Laplace approximation.
-
-    Returns (logprobs, warm_state).  All clusters are solved together:
-    q = 1 by the scalar solver shared with quadrature, q >= 2 by the
-    stacked solver in the standardized scale.
-    """
-    if data.q == 1:
-        logprobs, warm, _ = _q1_logprobs(data, theta, None, warm)
-    else:
-        logprobs, warm, _ = _laplace_general(data, theta, warm)
-    return logprobs, warm
-
-
-def laplace_loglik(data: ClusteredDataset, theta: Theta) -> float:
-    """Laplace approximation of the marginal log-likelihood (any q >= 1)."""
-    logprobs, _ = laplace_cluster_logprobs(data, theta)
-    return float(logprobs.sum())
-
-
 class LoglikEvaluator:
-    """Reusable evaluator with warm-started cluster modes.
+    """The approximate log-likelihood of one dataset, with warm-started modes.
 
-    The dominant cost of an objective evaluation is the inner Newton
-    solve for the cluster modes; consecutive evaluations during an
-    optimization differ by small parameter steps, so the previous modes
-    are excellent starting points.  The evaluator is not thread safe,
-    but distinct instances may run concurrently.
+    This is the one way to evaluate the approximation: per-cluster log
+    masses, their sum, or the sum with its exact gradient.  A fresh
+    evaluator solves its first modes from zero.  The dominant cost of an
+    objective evaluation is the inner Newton solve for the cluster modes;
+    consecutive evaluations during an optimization differ by small
+    parameter steps, so the previous modes are excellent starting points.
+    The evaluator is not thread safe, but distinct instances may run
+    concurrently.
 
     ``approx`` is "agq" (q = 1 only, with its quadrature ``rule``) or
     "laplace"; ``FitOptions.evaluator`` chooses both from fit options.
@@ -534,6 +486,7 @@ class LoglikEvaluator:
         return logprobs, gradient
 
     def cluster_logprobs(self, theta: Theta) -> np.ndarray:
+        """Per-cluster log probability masses, each in (-inf, 0]; their sum is ``loglik``."""
         return self._evaluate(theta, False)[0]
 
     def loglik(self, theta: Theta) -> float:

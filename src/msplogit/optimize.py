@@ -19,6 +19,7 @@ all of R^d, so the optimization is unconstrained.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,9 +42,9 @@ __all__ = [
     "FitResult",
     "FitError",
     "GradientError",
-    "objective",
     "objective_and_gradient",
     "numeric_gradient",
+    "hessian_fd",
     "fit",
     "parameter_names",
 ]
@@ -75,9 +76,10 @@ class FitOptions:
     quadrature: node count of the adaptive rule, 1 to ``MAX_QUADRATURE``.
     start: optional starting point; the default is the penalized
         fixed-effects-only logistic fit with psi = 0.
-    beta_max, psi_max, se_max: thresholds above which an estimate or
-        its standard error is flagged as atypically large in absolute
-        value; they are diagnostics, not constraints.
+    beta_max, psi_max, se_max: positive thresholds (``inf`` allowed)
+        above which an estimate or its standard error is flagged as
+        atypically large in absolute value; they are diagnostics, not
+        constraints.
     """
 
     method: str = "mspl"
@@ -93,10 +95,18 @@ class FitOptions:
             raise ValueError(f"method must be 'ml' or 'mspl', got {self.method!r}")
         if self.approx not in ("agq", "laplace", "auto"):
             raise ValueError(f"approx must be 'agq', 'laplace' or 'auto', got {self.approx!r}")
-        if not 1 <= self.quadrature <= MAX_QUADRATURE:
+        try:
+            in_range = 1 <= operator.index(self.quadrature) <= MAX_QUADRATURE
+        except TypeError:
+            in_range = False
+        if not in_range:
             raise ValueError(
-                f"quadrature size must be in [1, {MAX_QUADRATURE}], got {self.quadrature}"
+                f"quadrature size must be an integer in [1, {MAX_QUADRATURE}], "
+                f"got {self.quadrature!r}"
             )
+        for name in ("beta_max", "psi_max", "se_max"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
     def resolve_approx(self, q: int) -> str:
         """The approximation for q random effects; quadrature needs q = 1."""
@@ -193,8 +203,6 @@ def objective_and_gradient(
     if evaluator is None:
         evaluator = options.evaluator(data)
     value, grad = evaluator.value_and_grad(theta)
-    if not np.isfinite(grad).all():
-        raise ModeFindingError(f"non-finite log-likelihood gradient {grad}")
     if options.method == "mspl":
         try:
             penalty = composite_penalty(data, theta)
@@ -205,16 +213,6 @@ def objective_and_gradient(
         value += penalty.value
         grad = grad + penalty.gradient
     return value, grad
-
-
-def objective(
-    data: ClusteredDataset,
-    theta: Theta,
-    options: FitOptions,
-    evaluator: LoglikEvaluator | None = None,
-) -> float:
-    """The objective ``fit`` maximizes: the value of ``objective_and_gradient``."""
-    return objective_and_gradient(data, theta, options, evaluator)[0]
 
 
 def numeric_gradient(f, x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,6 @@ import numpy as np
 from scipy.special import expit
 
 from .inference import attach_se, normal_quantile
-from .likelihood import ModeFindingError
 from .model import ClusteredDataset, Theta, psi_to_chol
 from .optimize import FitError, FitOptions, fit, parameter_names
 
@@ -170,7 +169,7 @@ def run_replication(design: SimulationDesign, r: int) -> list[MethodRecord]:
                 np.where(result.se_available, result.se, np.nan),
                 _fit_reasons(result),
             ))
-        except (FitError, ModeFindingError):
+        except FitError:
             records.append(MethodRecord(
                 np.full(d, np.nan), np.full(d, np.nan), frozenset({"exception"}),
             ))

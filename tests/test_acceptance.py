@@ -112,7 +112,7 @@ def test_c3_ml_boundary_on_culcita(culcita_reduced, ml_fit):
     assert big.any(), f"beta={result.theta.beta}, se={result.se}"
     assert result.boundary_flags.any()
     ours = result.loglik
-    ref = m.agq_loglik(culcita_reduced, REF_ML_POINT, gauss_hermite_rule(100))
+    ref = m.LoglikEvaluator(culcita_reduced, "agq", gauss_hermite_rule(100)).loglik(REF_ML_POINT)
     assert abs(ours - ref) <= 0.5, f"loglik {ours} vs reference point {ref}"
     report(
         3, "ml boundary behavior",
@@ -171,12 +171,10 @@ def test_c6_quadrature_oracle():
             p=2, q=1, seed=1000 + i,
         )
         theta = Theta(rng.normal(scale=0.8, size=2), rng.normal(scale=0.8, size=1))
-        quad = m.agq_loglik(data, theta, rule50)
+        quad = m.LoglikEvaluator(data, "agq", rule50).loglik(theta)
         worst_quad = max(worst_quad, abs(quad - trapezoid_loglik(data, theta)))
-        worst_ident = max(
-            worst_ident,
-            abs(m.laplace_loglik(data, theta) - m.agq_loglik(data, theta, rule1)),
-        )
+        one_node = m.LoglikEvaluator(data, "agq", rule1).loglik(theta)
+        worst_ident = max(worst_ident, abs(m.LoglikEvaluator(data, "laplace").loglik(theta) - one_node))
     assert worst_quad < 1e-8, f"worst AGQ-vs-trapezoid gap {worst_quad}"
     assert worst_ident < 1e-12, f"worst laplace-vs-one-node gap {worst_ident}"
     report(

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import msplogit.inference as inference
 from msplogit.cli import (
     EXIT_BOUNDARY,
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    EXIT_UNCONVERGED,
     RunConfig,
     culcita_config,
     load_csv,
@@ -15,6 +17,7 @@ from msplogit.cli import (
     parse_result,
 )
 from msplogit.datasets import culcita, culcita_path
+from msplogit.likelihood import ModeFindingError
 from msplogit.model import DataError
 from msplogit.simulate import REASONS
 
@@ -201,8 +204,9 @@ class TestFitCommand:
         ["simulate", "--replications", "0"],
         ["fit", "--config", {"quadrature": "20"}],
         ["simulate", "--config", {"methods": []}],
+        ["fit", "--beta-max", "nan"],
     ], ids=["quadrature-0", "quadrature-500", "config-approx", "agq-q2", "replications-0",
-            "config-quadrature-string", "config-no-methods"])
+            "config-quadrature-string", "config-no-methods", "beta-max-nan"])
     def test_invalid_setting_is_an_input_error(self, tmp_path, capsys, extra):
         args = [
             write(tmp_path, "config.json", json.dumps(a)) if isinstance(a, dict) else a
@@ -214,6 +218,19 @@ class TestFitCommand:
         ])
         assert code == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_failed_se_step_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        def failing_hessian(grad, x):
+            raise ModeFindingError("cluster modes did not converge")
+
+        monkeypatch.setattr(inference, "hessian_fd", failing_hessian)
+        code = main([
+            "fit", "--data", culcita_path(), "--response", "predation",
+            "--fixed", "crabs,shrimp,both", "--cluster", "block", "--intercept",
+            "--quadrature", "5", "--out", str(tmp_path / "result.txt"),
+        ])
+        assert code == EXIT_UNCONVERGED
+        assert capsys.readouterr().err.startswith("error: standard-error evaluation failed")
 
 
 class TestSimulateCommand:

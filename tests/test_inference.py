@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import msplogit.inference as inference
 from msplogit.inference import (
     ContrastMap,
     attach_se,
@@ -10,8 +11,9 @@ from msplogit.inference import (
     wald_ci,
     wald_se,
 )
+from msplogit.likelihood import ModeFindingError
 from msplogit.model import Theta
-from msplogit.optimize import FitOptions, fit, hessian_fd
+from msplogit.optimize import FitError, FitOptions, fit, hessian_fd
 from msplogit.simulate import simulate_responses
 
 from conftest import make_dataset
@@ -21,6 +23,25 @@ class TestContrastMap:
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
             ContrastMap(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e4])
+    def test_invertibility_ignores_scale(self, scale):
+        # A change of units is perfectly conditioned whatever its
+        # determinant (1e-16 for 1e-4 * I); a scaled singular matrix is not.
+        cmap = ContrastMap(scale * np.eye(4))
+        assert np.array_equal(cmap.inverse(), np.eye(4) / scale)
+        with pytest.raises(ValueError):
+            ContrastMap(scale * np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_scaled_contrast_transforms_fit(self):
+        # det C = 1e-400 underflows to zero; the penalty shift -c log|det C|
+        # stays finite.
+        data = make_dataset(k=4, n_i=6, p=2, seed=3, beta=[0.5, -0.8], psi=[0.1])
+        result = fit(data, FitOptions(method="mspl", quadrature=30))
+        moved = transform_fit(result, ContrastMap(1e-200 * np.eye(2)), data)
+        assert np.array_equal(moved.theta.beta, 1e-200 * result.theta.beta)
+        c = 2.0 * np.sqrt(data.p / data.n)
+        assert moved.penalized == pytest.approx(result.penalized - 2 * c * np.log(1e-200), rel=1e-14)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -106,6 +127,17 @@ class TestWaldSe:
             H[:, j] = (gradient(x - 2 * e) - 8 * gradient(x - e) + 8 * gradient(x + e)
                        - gradient(x + 2 * e)) / (12 * e[j])
         assert np.linalg.eigvalsh(-0.5 * (H + H.T)).min() < -1e-2
+
+    def test_mode_failure_in_hessian_raises_fit_error(self, monkeypatch):
+        data = make_dataset(k=4, n_i=6, p=2, seed=3, beta=[0.5, -0.8], psi=[0.1])
+        result = fit(data, FitOptions(method="mspl", quadrature=30))
+
+        def failing_hessian(grad, x):
+            raise ModeFindingError("cluster modes did not converge")
+
+        monkeypatch.setattr(inference, "hessian_fd", failing_hessian)
+        with pytest.raises(FitError, match="cluster modes did not converge"):
+            wald_se(data, result)
 
     def test_singular_hessian_all_unavailable(self):
         # direct check of the inversion guard through a synthetic evaluator

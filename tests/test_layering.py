@@ -1,11 +1,14 @@
 """Import rules between the package's modules, checked on their source.
 
 No module imports a private (underscore) name from a sibling module, so
-each rule lives in the module that owns it, and ``datasets`` does not
-import ``cli``: the command line sits above the data layer.
+each rule lives in the module that owns it; what a module imports from
+a sibling is in that sibling's ``__all__``, and every ``__all__`` entry
+exists.  ``datasets`` does not import ``cli``: the command line sits
+above the data layer.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import msplogit
@@ -74,3 +77,45 @@ def test_guard_catches_private_imports(tmp_path):
         encoding="utf-8",
     )
     assert len(_private_imports(source)) == 3
+
+
+def _unexported_imports(path):
+    """Names ``path`` imports from a sibling module that are not in its ``__all__``."""
+    hits = []
+    for module, name in _imports(path):
+        target = _sibling(module, name)
+        if target is None or name is None or name == target:
+            continue  # outside the package, or a whole module
+        if name not in importlib.import_module(f"msplogit.{target}").__all__:
+            hits.append(f"{path.name}: {name} from {target}")
+    return hits
+
+
+def test_sibling_imports_are_exported():
+    offenders = [hit for path in sorted(PACKAGE_DIR.glob("*.py")) for hit in _unexported_imports(path)]
+    assert not offenders, offenders
+
+
+def test_every_export_resolves():
+    modules = [msplogit] + [
+        importlib.import_module(f"msplogit.{path.stem}")
+        for path in sorted(PACKAGE_DIR.glob("*.py")) if path.stem != "__init__"
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules for name in module.__all__ if not hasattr(module, name)
+    ]
+    assert not missing, missing
+
+
+def test_guard_catches_unexported_imports(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "from .optimize import FitResult, GRAD_TOL\n"
+        "from . import cli\n"
+        "def f():\n    from msplogit.likelihood import MODE_MAX_ITER\n",
+        encoding="utf-8",
+    )
+    assert _unexported_imports(source) == [
+        "mod.py: GRAD_TOL from optimize", "mod.py: MODE_MAX_ITER from likelihood",
+    ]

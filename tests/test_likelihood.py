@@ -11,11 +11,7 @@ from msplogit.likelihood import (
     MODE_MAX_STEP,
     LoglikEvaluator,
     ModeFindingError,
-    agq_cluster_logprobs,
-    agq_loglik,
     gauss_hermite_rule,
-    laplace_cluster_logprobs,
-    laplace_loglik,
 )
 from msplogit.model import Cluster, ClusteredDataset, Theta, psi_to_chol, psi_to_sigma
 from msplogit.optimize import FitOptions
@@ -66,10 +62,10 @@ def u_modes(data, theta):
     """
     if data.q == 1:
         s = min(float(np.exp(theta.psi[0])), 1.0)
-        _, t_agq = agq_cluster_logprobs(data, theta, gauss_hermite_rule(5))
-        _, t_laplace = laplace_cluster_logprobs(data, theta)
+        t_agq = likelihood._q1_logprobs(data, theta, gauss_hermite_rule(5))[1]
+        t_laplace = likelihood._q1_logprobs(data, theta, None)[1]
         return [s * t_agq[:, None], s * t_laplace[:, None]]
-    _, v = laplace_cluster_logprobs(data, theta)
+    v = likelihood._laplace_general(data, theta)[1]
     return [v @ psi_to_chol(theta.psi, theta.q).T]
 
 
@@ -123,7 +119,7 @@ class TestClusterMode:
             H = c.Z.T @ ((mu * (1.0 - mu))[:, None] * c.Z) + sigma_inv
             g = np.sum(c.y * eta - np.logaddexp(0.0, eta)) - 0.5 * u @ sigma_inv @ u
             laplace = g - 0.5 * np.linalg.slogdet(H)[1] - 0.5 * np.linalg.slogdet(sigma)[1]
-            assert laplace_loglik(data, theta) == pytest.approx(laplace, abs=1e-10)
+            assert LoglikEvaluator(data, "laplace").loglik(theta) == pytest.approx(laplace, abs=1e-10)
 
 
 class TestAgqLoglik:
@@ -132,7 +128,7 @@ class TestAgqLoglik:
         theta = _theta([0.3, -0.8], [-12.0])
         eta = data.X @ theta.beta
         glm = float(np.sum(data.y * eta - np.logaddexp(0.0, eta)))
-        val = agq_loglik(data, theta, gauss_hermite_rule(100))
+        val = LoglikEvaluator(data, "agq", gauss_hermite_rule(100)).loglik(theta)
         assert val == pytest.approx(glm, abs=1e-4)
 
     def test_one_node_equals_laplace(self):
@@ -141,8 +137,8 @@ class TestAgqLoglik:
         for seed in range(20):
             data = make_dataset(k=3, n_i=4, p=2, seed=seed)
             theta = _theta(rng.normal(size=2), rng.normal(size=1))
-            assert agq_loglik(data, theta, rule) == pytest.approx(
-                laplace_loglik(data, theta), abs=1e-12
+            assert LoglikEvaluator(data, "agq", rule).loglik(theta) == pytest.approx(
+                LoglikEvaluator(data, "laplace").loglik(theta), abs=1e-12
             )
 
     def test_matches_trapezoid_oracle(self):
@@ -150,20 +146,23 @@ class TestAgqLoglik:
         rule = gauss_hermite_rule(50)
         data = make_dataset(k=2, n_i=3, p=2, seed=7)
         theta = _theta(rng.normal(size=2), rng.normal(size=1))
-        assert agq_loglik(data, theta, rule) == pytest.approx(
+        assert LoglikEvaluator(data, "agq", rule).loglik(theta) == pytest.approx(
             trapezoid_loglik(data, theta), abs=1e-8
         )
 
     def test_rejects_multivariate_effects(self):
         data = make_dataset(k=2, n_i=4, p=2, q=2, seed=0)
         with pytest.raises(ValueError):
-            agq_loglik(data, _theta([0.0, 0.0], [0.0, 0.0, 0.0]), gauss_hermite_rule(5))
+            LoglikEvaluator(data, "agq", gauss_hermite_rule(5))
 
     def test_refinement_differences_shrink(self):
         for seed in (0, 1, 2):
             data = make_dataset(k=3, n_i=4, p=2, seed=seed)
             theta = _theta([0.5, -0.4], [0.3])
-            vals = {Q: agq_loglik(data, theta, gauss_hermite_rule(Q)) for Q in (2, 4, 8, 16)}
+            vals = {
+                Q: LoglikEvaluator(data, "agq", gauss_hermite_rule(Q)).loglik(theta)
+                for Q in (2, 4, 8, 16)
+            }
             d1 = abs(vals[2] - vals[4])
             d2 = abs(vals[4] - vals[8])
             d3 = abs(vals[8] - vals[16])
@@ -176,7 +175,7 @@ class TestAgqLoglik:
         for seed in range(10):
             data = make_dataset(k=4, n_i=5, p=2, seed=seed)
             theta = _theta(rng.normal(size=2), rng.normal(size=1))
-            logprobs, _ = agq_cluster_logprobs(data, theta, rule)
+            logprobs = LoglikEvaluator(data, "agq", rule).cluster_logprobs(theta)
             assert (logprobs <= 1e-10).all()
             assert np.isfinite(logprobs).all()
 
@@ -188,7 +187,7 @@ class TestAgqLoglik:
         delta = 0.7
         theta = _theta([0.2, -0.5], [0.1])
         shifted = _theta([0.2 + delta, -0.5], [0.1])
-        val = agq_loglik(data, shifted, gauss_hermite_rule(50))
+        val = LoglikEvaluator(data, "agq", gauss_hermite_rule(50)).loglik(shifted)
         assert val == pytest.approx(trapezoid_loglik(data, theta, eta_shift=delta), abs=1e-8)
 
 
@@ -247,7 +246,7 @@ class TestLaplaceLoglik:
         theta = _theta([0.2, 0.5], [-12.0, -12.0, 0.0])
         eta = data.X @ theta.beta
         glm = float(np.sum(data.y * eta - np.logaddexp(0.0, eta)))
-        assert laplace_loglik(data, theta) == pytest.approx(glm, abs=1e-3)
+        assert LoglikEvaluator(data, "laplace").loglik(theta) == pytest.approx(glm, abs=1e-3)
 
     def test_q2_matches_tensor_grid(self):
         # Laplace's own error is O(sigma^2), so the qualifying instance
@@ -257,7 +256,7 @@ class TestLaplaceLoglik:
         theta = _theta([0.2, 0.5], [-4.5, -4.5, 0.02])
         oracle = tensor_grid_loglik(data, theta, Q=60)
         assert tensor_grid_loglik(data, theta, Q=90) == pytest.approx(oracle, abs=1e-9)
-        assert laplace_loglik(data, theta) == pytest.approx(oracle, abs=1e-6)
+        assert LoglikEvaluator(data, "laplace").loglik(theta) == pytest.approx(oracle, abs=1e-6)
 
 
 def loop_mode_v(cluster, xb, A, v0=None):
@@ -345,7 +344,7 @@ class TestStackedLaplaceSolver:
         for seed in range(4):
             data = make_dataset(k=12, n_i=6, p=2, q=2, seed=seed)
             theta = _theta(rng.normal(size=2), psi)
-            logprobs, modes = laplace_cluster_logprobs(data, theta)
+            logprobs, modes, _ = likelihood._laplace_general(data, theta)
             ref, ref_modes = loop_laplace_logprobs(data, theta)
             assert np.abs(logprobs - ref).max() <= 1e-12
             assert modes.shape == (data.k, 2)
@@ -353,24 +352,26 @@ class TestStackedLaplaceSolver:
     def test_three_dimensional_effects_match_cluster_loop(self):
         data = make_dataset(k=8, n_i=7, p=2, q=3, seed=4)
         theta = _theta([0.3, -0.2], [0.1, -0.5, -3.0, 0.4, -0.2, 0.7])
-        logprobs, _ = laplace_cluster_logprobs(data, theta)
+        logprobs = LoglikEvaluator(data, "laplace").cluster_logprobs(theta)
         assert np.abs(logprobs - loop_laplace_logprobs(data, theta)[0]).max() <= 1e-12
 
     def test_far_warm_start_gives_cold_values(self):
         data = make_dataset(k=10, n_i=6, p=2, q=2, seed=7)
         far = _theta([4.0, -3.0], [5.0, 5.0, -2.0])
         near = _theta([0.2, 0.1], [-0.3, -6.0, 0.2])
-        _, warm = laplace_cluster_logprobs(data, far)
-        warm_values, _ = laplace_cluster_logprobs(data, near, warm)
-        cold_values, _ = laplace_cluster_logprobs(data, near)
+        warmed = LoglikEvaluator(data, "laplace")
+        warmed.cluster_logprobs(far)
+        warm_values = warmed.cluster_logprobs(near)
+        cold_values = LoglikEvaluator(data, "laplace").cluster_logprobs(near)
+        far_modes = likelihood._laplace_general(data, far)[1]
         assert np.abs(warm_values - cold_values).max() <= 1e-12
-        assert np.abs(warm_values - loop_laplace_logprobs(data, near, warm)[0]).max() <= 1e-12
+        assert np.abs(warm_values - loop_laplace_logprobs(data, near, far_modes)[0]).max() <= 1e-12
 
     def test_stall_raises(self, monkeypatch):
         data = make_dataset(k=4, n_i=6, p=2, q=2, seed=1)
         monkeypatch.setattr(likelihood, "MODE_MAX_ITER", 1)
         with pytest.raises(ModeFindingError):
-            laplace_cluster_logprobs(data, _theta([0.3, -0.4], [5.0, 5.0, 0.0]))
+            LoglikEvaluator(data, "laplace").cluster_logprobs(_theta([0.3, -0.4], [5.0, 5.0, 0.0]))
 
 
 class TestEvaluator:
@@ -381,7 +382,7 @@ class TestEvaluator:
         t2 = _theta([0.25, -0.12], [0.28])
         ev.loglik(t1)
         warm = ev.loglik(t2)
-        cold = agq_loglik(data, t2, gauss_hermite_rule(30))
+        cold = LoglikEvaluator(data, "agq", gauss_hermite_rule(30)).loglik(t2)
         assert warm == pytest.approx(cold, abs=1e-10)
 
     def test_rejects_agq_for_q2(self):

@@ -14,7 +14,7 @@ from msplogit.optimize import (
     fit,
     hessian_fd,
     numeric_gradient,
-    objective,
+    objective_and_gradient,
     parameter_names,
 )
 from msplogit.penalties import composite_penalty
@@ -32,6 +32,15 @@ class TestFitOptions:
             FitOptions(quadrature=201)
         with pytest.raises(ValueError):
             FitOptions(approx="quadrature")
+        for bad in (2.5, "20", None):
+            with pytest.raises(ValueError, match="integer"):
+                FitOptions(quadrature=bad)
+        for name in ("beta_max", "psi_max", "se_max"):
+            for bad in (np.nan, 0.0, -1.0, -np.inf):
+                with pytest.raises(ValueError, match=name):
+                    FitOptions(**{name: bad})
+        assert FitOptions(quadrature=np.int64(20)).quadrature == 20
+        assert FitOptions(beta_max=np.inf, psi_max=np.inf, se_max=np.inf).se_max == np.inf
 
     def test_approx_resolution(self):
         assert FitOptions().resolve_approx(1) == "agq"
@@ -104,8 +113,8 @@ class TestObjective:
     def test_penalty_additivity(self):
         data = make_dataset(k=3, n_i=4, p=2, seed=2)
         theta = Theta(np.array([0.5, -0.3]), np.array([0.2]))
-        ml = objective(data, theta, FitOptions(method="ml", quadrature=40))
-        mspl = objective(data, theta, FitOptions(method="mspl", quadrature=40))
+        ml = objective_and_gradient(data, theta, FitOptions(method="ml", quadrature=40))[0]
+        mspl = objective_and_gradient(data, theta, FitOptions(method="mspl", quadrature=40))[0]
         assert mspl - ml == pytest.approx(
             composite_penalty(data, theta).value, rel=1e-12, abs=1e-12
         )
@@ -114,8 +123,8 @@ class TestObjective:
         data = make_dataset(k=10, n_i=8, p=4, seed=3, beta=[2.0, -1.0, 0.5, -0.5], psi=[0.5])
         opts = FitOptions(method="mspl", quadrature=40)
         beta = np.array([2.0, -1.0, 0.5, -0.5])
-        hi = objective(data, Theta(beta, np.array([12.0])), opts)
-        mid = objective(data, Theta(beta, np.array([0.0])), opts)
+        hi = objective_and_gradient(data, Theta(beta, np.array([12.0])), opts)[0]
+        mid = objective_and_gradient(data, Theta(beta, np.array([0.0])), opts)[0]
         assert hi < mid
 
     def test_separation_direction(self):
@@ -128,8 +137,8 @@ class TestObjective:
         ml_vals, mspl_vals = [], []
         for t in (1.0, 5.0, 10.0, 20.0, 40.0):
             theta = Theta(direction * t, np.array([-1.0]))
-            ml_vals.append(objective(data, theta, ml))
-            mspl_vals.append(objective(data, theta, mspl))
+            ml_vals.append(objective_and_gradient(data, theta, ml)[0])
+            mspl_vals.append(objective_and_gradient(data, theta, mspl)[0])
         # non-decreasing toward a finite supremum (flat to rounding far out)
         assert all(b > a - 1e-12 for a, b in zip(ml_vals, ml_vals[1:]))
         assert ml_vals[2] > ml_vals[0]
@@ -230,13 +239,12 @@ class TestFit:
     @pytest.mark.parametrize("failure", ["likelihood_gradient", "penalty_gradient"])
     def test_gradient_failures_raise_fit_error(self, monkeypatch, failure):
         if failure == "likelihood_gradient":
-            value_and_grad = LoglikEvaluator.value_and_grad
+            evaluate = LoglikEvaluator._evaluate
 
-            def nan_gradient(self, theta):
-                value, grad = value_and_grad(self, theta)
-                return value, np.full_like(grad, np.nan)
+            def nan_gradient(self, theta, grad):
+                return evaluate(self, theta, grad)[0], np.full(theta.dim, np.nan)
 
-            monkeypatch.setattr(LoglikEvaluator, "value_and_grad", nan_gradient)
+            monkeypatch.setattr(LoglikEvaluator, "_evaluate", nan_gradient)
         else:
             monkeypatch.setattr(optimize, "composite_penalty", penalty_without_gradient)
         data = make_dataset(k=4, n_i=5, p=2, seed=12, beta=[0.2, 0.4], psi=[-0.2])

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import msplogit.inference as inference
 import msplogit.optimize as optimize
+from msplogit.likelihood import ModeFindingError
 from msplogit.model import Cluster, ClusteredDataset, Theta
 from msplogit.optimize import FitOptions
 from msplogit.simulate import (
@@ -197,6 +199,15 @@ class TestRunStudy:
         assert record.reasons == {"exception"}
         assert np.isnan(record.estimates).all()
         assert np.isnan(record.ses).all()
+
+    def test_failed_se_step_is_an_exception_record(self, monkeypatch):
+        def failing_hessian(grad, x):
+            raise ModeFindingError("cluster modes did not converge")
+
+        monkeypatch.setattr(inference, "hessian_fd", failing_hessian)
+        [record] = run_replication(small_design(R=1), 0)
+        assert record.reasons == {"exception"}
+        assert np.isnan(record.estimates).all()
 
     def test_design_validation(self):
         with pytest.raises(ValueError):
