@@ -104,6 +104,10 @@ class RunConfig:
             raise DataError("no random-effect columns; give --random and/or --intercept")
         if self.replications < 1:
             raise DataError(f"replications must be at least 1, got {self.replications}")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
+        if self.theta_true is not None and not np.isfinite(self.theta_true).all():
+            raise DataError(f"theta_true must be finite, got {self.theta_true}")
         if self.methods is None:
             self.methods = [self.method]
         elif not self.methods:

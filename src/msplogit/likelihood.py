@@ -36,7 +36,10 @@ quadrature points to the identical evaluation points, so the computed
 values equal the formulas above to rounding while staying
 well-conditioned even when Sigma is nearly singular - exactly the
 regime an unpenalized fit wanders into.  All reductions are log-space
-log-sum-exp with exponent values taken relative to the mode.
+log-sum-exp with exponent values taken relative to the mode.  At the
+quadrature nodes, log(1 + e^eta) and the logistic 1 / (1 + e^-eta) come
+from one shared exponential e^-|eta|, and Gauss-Hermite rules are built
+once per node count and cached.
 
 ``LoglikEvaluator.value_and_grad`` returns the exact gradient in theta
 from the same mode solve as the value.  The mode's derivative comes
@@ -68,10 +71,11 @@ standardized scale and H its negative Hessian at the mode v_hat,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .model import ClusteredDataset, Theta, chol_jacobian, psi_to_chol
 
@@ -115,6 +119,7 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: 100.0 must not hit the rule of 100
 def gauss_hermite_rule(Q: int) -> QuadratureRule:
     """Gauss-Hermite rule with Q nodes via the Golub-Welsch eigenproblem.
 
@@ -125,29 +130,32 @@ def gauss_hermite_rule(Q: int) -> QuadratureRule:
     recurrence (the squared-first-eigenvector-component form underflows
     for the extreme nodes of large rules).  Symmetry about zero is
     enforced exactly by averaging each node with its mirror image.
+
+    Each rule is built once per Q and the same object is returned to
+    every caller, so its arrays are read-only.
     """
     if not (1 <= Q <= MAX_QUADRATURE):
         raise ValueError(f"quadrature size must be in [1, {MAX_QUADRATURE}], got {Q}")
     if Q == 1:
-        return QuadratureRule(np.zeros(1), np.array([np.sqrt(np.pi)]))
-    nodes = eigh_tridiagonal(
-        np.zeros(Q), np.sqrt(np.arange(1, Q) / 2.0), eigvals_only=True
-    )
-    nodes = 0.5 * (nodes - nodes[::-1])
-    if Q % 2 == 1:
-        nodes[Q // 2] = 0.0
-    p_prev = np.zeros(Q)
-    p = np.full(Q, np.pi ** -0.25)
-    total = p * p
-    for j in range(1, Q):
-        p, p_prev = (nodes * p - np.sqrt((j - 1) / 2.0) * p_prev) / np.sqrt(j / 2.0), p
-        total += p * p
-    weights = 1.0 / total
-    weights = 0.5 * (weights + weights[::-1])
-    rule = QuadratureRule(nodes, weights)
-    rule.nodes.setflags(write=False)
-    rule.weights.setflags(write=False)
-    return rule
+        nodes, weights = np.zeros(1), np.array([np.sqrt(np.pi)])
+    else:
+        nodes = eigh_tridiagonal(
+            np.zeros(Q), np.sqrt(np.arange(1, Q) / 2.0), eigvals_only=True
+        )
+        nodes = 0.5 * (nodes - nodes[::-1])
+        if Q % 2 == 1:
+            nodes[Q // 2] = 0.0
+        p_prev = np.zeros(Q)
+        p = np.full(Q, np.pi ** -0.25)
+        total = p * p
+        for j in range(1, Q):
+            p, p_prev = (nodes * p - np.sqrt((j - 1) / 2.0) * p_prev) / np.sqrt(j / 2.0), p
+            total += p * p
+        weights = 1.0 / total
+        weights = 0.5 * (weights + weights[::-1])
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule(nodes, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +165,15 @@ def gauss_hermite_rule(Q: int) -> QuadratureRule:
 
 def _segsum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values, offsets[:-1], axis=0)
+
+
+def _softplus_logistic(eta: np.ndarray):
+    """log(1 + e^eta) and 1 / (1 + e^-eta) from one exponential.
+
+    Both are taken from z = e^-|eta| <= 1, so neither can overflow.
+    """
+    z = np.exp(-np.abs(eta))
+    return np.maximum(eta, 0.0) + np.log1p(z), np.where(eta >= 0.0, 1.0, z) / (1.0 + z)
 
 
 def _q1_scale(sigma: float):
@@ -347,22 +364,26 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     y = data.y
     sz = s * data.Z[:, 0]
     base = xb + sz * t[idx]
+    mu = expit(base)
     if rule is None:
         logprobs = g_mode + log_tau + log_s_over_sigma
-        x, nodes, eta, post = np.zeros(1), t[:, None], base[:, None], np.ones((data.k, 1))
+        x, nodes, mu_nodes, post = np.zeros(1), t[:, None], mu[:, None], np.ones((data.k, 1))
     else:
         x = rule.nodes
         logw = np.log(rule.weights)
         scale = sz * (np.sqrt(2.0) * tau)[idx]
         eta = base[:, None] + scale[:, None] * x[None, :]
-        cond = _segsum(y[:, None] * eta - np.logaddexp(0.0, eta), offs)
+        softplus, mu_nodes = _softplus_logistic(eta)
+        cond = _segsum(y[:, None] * eta - softplus, offs)
         nodes = t[:, None] + (np.sqrt(2.0) * tau)[:, None] * x[None, :]
         g_nodes = cond - 0.5 * ratio * nodes**2
         log_terms = logw[None, :] + x[None, :] ** 2 + (g_nodes - g_mode[:, None])
-        log_int_rel = logsumexp(log_terms, axis=1)
+        peak = log_terms.max(axis=1)
+        terms = np.exp(log_terms - peak[:, None])
+        total = terms.sum(axis=1)
+        log_int_rel = peak + np.log(total)
         logprobs = g_mode + log_tau + log_int_rel + log_s_over_sigma - 0.5 * np.log(np.pi)
-        if grad:
-            post = np.exp(log_terms - log_int_rel[:, None])
+        post = terms / total[:, None]
     if not grad:
         return logprobs, t, None
 
@@ -370,7 +391,6 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     # the mode's derivative by the implicit-function theorem, and that
     # of log tau = -1/2 log hess.
     p = data.p
-    mu = expit(base)
     w = mu * (1.0 - mu)
     E = np.empty((data.n, p + 1))
     E[:, :p] = data.X
@@ -384,7 +404,7 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
 
     # At the nodes t_m = t_hat + sqrt(2) tau x_m, weighted by each node's
     # share ``post`` of the cluster's integral.
-    resid = y[:, None] - expit(eta)
+    resid = y[:, None] - mu_nodes
     slope = _segsum(sz[:, None] * resid, offs) - ratio * nodes
     weighted = post[idx] * resid
     gradient = np.empty(p + 1)

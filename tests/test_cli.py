@@ -205,8 +205,12 @@ class TestFitCommand:
         ["fit", "--config", {"quadrature": "20"}],
         ["simulate", "--config", {"methods": []}],
         ["fit", "--beta-max", "nan"],
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--config", {"theta_true": [float("nan"), 0.0, 0.0, 0.0, 0.0]}],
+        ["simulate", "--config", {"theta_true": [0.0, 0.0, 0.0, 0.0, float("inf")]}],
     ], ids=["quadrature-0", "quadrature-500", "config-approx", "agq-q2", "replications-0",
-            "config-quadrature-string", "config-no-methods", "beta-max-nan"])
+            "config-quadrature-string", "config-no-methods", "beta-max-nan",
+            "seed-negative", "theta-true-nan", "theta-true-infinity"])
     def test_invalid_setting_is_an_input_error(self, tmp_path, capsys, extra):
         args = [
             write(tmp_path, "config.json", json.dumps(a)) if isinstance(a, dict) else a

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
@@ -13,8 +15,9 @@ from msplogit.likelihood import (
     ModeFindingError,
     gauss_hermite_rule,
 )
+from msplogit.inference import attach_se
 from msplogit.model import Cluster, ClusteredDataset, Theta, psi_to_chol, psi_to_sigma
-from msplogit.optimize import FitOptions
+from msplogit.optimize import FitOptions, fit
 
 from conftest import make_dataset, trapezoid_loglik
 
@@ -46,8 +49,42 @@ class TestGaussHermiteRule:
 
     @pytest.mark.parametrize("Q", [0, -3, 201])
     def test_range_errors(self, Q):
-        with pytest.raises(ValueError):
-            gauss_hermite_rule(Q)
+        for _ in range(2):  # an error is raised again, never cached
+            with pytest.raises(ValueError):
+                gauss_hermite_rule(Q)
+
+    def test_repeated_call_returns_the_same_rule(self):
+        assert gauss_hermite_rule(37) is gauss_hermite_rule(37)
+        with pytest.raises(TypeError):
+            gauss_hermite_rule(37.0)
+
+    @pytest.mark.parametrize("Q", [1, 100])
+    def test_shared_rule_is_read_only(self, Q):
+        rule = gauss_hermite_rule(Q)
+        for array in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_fit_with_se_builds_rule_once(self, culcita_reduced):
+        gauss_hermite_rule.cache_clear()
+        attach_se(culcita_reduced, fit(culcita_reduced, FitOptions(quadrature=100)))
+        assert gauss_hermite_rule.cache_info().misses == 1
+
+
+class TestSoftplusLogistic:
+    def test_matches_reference_without_warnings(self):
+        eta = np.concatenate([np.linspace(-800.0, 800.0, 16001), [-745.0, 0.0, 745.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            softplus, logistic = likelihood._softplus_logistic(eta)
+        np.testing.assert_array_max_ulp(softplus, np.logaddexp(0.0, eta), maxulp=4)
+        reference = expit(eta)
+        # scipy's expit returns 0 below eta = -709.78, where e^-eta overflows;
+        # there the logistic is the subnormal e^eta, since 1 + e^eta rounds to 1.
+        flushed = reference == 0.0
+        assert flushed.any()
+        np.testing.assert_array_max_ulp(logistic[~flushed], reference[~flushed], maxulp=4)
+        np.testing.assert_array_max_ulp(logistic[flushed], np.exp(eta[flushed]), maxulp=4)
 
 
 def _theta(beta, psi):
