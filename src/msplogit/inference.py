@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .likelihood import ModeFindingError
 from .model import ClusteredDataset, Theta
@@ -178,10 +178,10 @@ def transform_fit(
 
 
 def normal_quantile(prob: float) -> float:
-    """Standard normal quantile, by ``scipy.special.ndtri``."""
+    """Standard normal quantile, by Wichura's AS 241 in ``statistics.NormalDist``."""
     if not 0.0 < prob < 1.0:
         raise ValueError(f"probability must be in (0, 1), got {prob}")
-    return float(ndtri(prob))
+    return NormalDist().inv_cdf(prob)
 
 
 def wald_ci(estimate: float, se: float, level: float = 0.95) -> tuple[float, float]:

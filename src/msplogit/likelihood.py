@@ -70,14 +70,13 @@ standardized scale and H its negative Hessian at the mode v_hat,
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import expit
 
-from .model import ClusteredDataset, Theta, chol_jacobian, psi_to_chol
+from .model import ClusteredDataset, Theta, chol_jacobian, expit, psi_to_chol
 
 __all__ = [
     "QuadratureRule",
@@ -124,24 +123,23 @@ def gauss_hermite_rule(Q: int) -> QuadratureRule:
     """Gauss-Hermite rule with Q nodes via the Golub-Welsch eigenproblem.
 
     The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
-    matrix with off-diagonal entries sqrt(i/2).  The weights follow
-    from the same construction through the orthonormal-polynomial
-    identity w_m = 1 / sum_j p_j(x_m)^2, evaluated by the three-term
-    recurrence (the squared-first-eigenvector-component form underflows
-    for the extreme nodes of large rules).  Symmetry about zero is
-    enforced exactly by averaging each node with its mirror image.
+    matrix with off-diagonal entries sqrt(i/2), taken as a dense matrix.
+    The weights follow from the same construction through the
+    orthonormal-polynomial identity w_m = 1 / sum_j p_j(x_m)^2, by the
+    three-term recurrence (the squared-first-eigenvector-component form
+    underflows for the extreme nodes of large rules).  Symmetry about
+    zero is enforced exactly by averaging each node with its mirror image.
 
     Each rule is built once per Q and the same object is returned to
     every caller, so its arrays are read-only.
     """
-    if not (1 <= Q <= MAX_QUADRATURE):
+    if not (1 <= operator.index(Q) <= MAX_QUADRATURE):
         raise ValueError(f"quadrature size must be in [1, {MAX_QUADRATURE}], got {Q}")
     if Q == 1:
         nodes, weights = np.zeros(1), np.array([np.sqrt(np.pi)])
     else:
-        nodes = eigh_tridiagonal(
-            np.zeros(Q), np.sqrt(np.arange(1, Q) / 2.0), eigvals_only=True
-        )
+        off = np.sqrt(np.arange(1, Q) / 2.0)
+        nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
         nodes = 0.5 * (nodes - nodes[::-1])
         if Q % 2 == 1:
             nodes[Q // 2] = 0.0

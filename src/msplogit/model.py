@@ -31,6 +31,7 @@ __all__ = [
     "sigma_to_psi",
     "validate_covariance",
     "conditional_loglik",
+    "expit",
     "psi_names",
 ]
 
@@ -341,6 +342,16 @@ def conditional_loglik(cluster: Cluster, beta: np.ndarray, u: np.ndarray) -> flo
         raise ValueError(f"u must have length {cluster.Z.shape[1]}, got {u.shape}")
     eta = cluster.X @ beta + cluster.Z @ u
     return float(np.sum(cluster.y * eta - np.logaddexp(0.0, eta)))
+
+
+def expit(eta):
+    """The logistic function 1 / (1 + e^-eta), elementwise.
+
+    Below eta = -709.78 the exponential overflows to inf, silently, and
+    the result is exactly 0.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-eta))
 
 
 def psi_names(q: int) -> list[str]:

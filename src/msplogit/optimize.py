@@ -4,9 +4,11 @@ The objective is the approximate marginal log-likelihood, optionally
 plus the scaled composite penalty.  Both gradients are exact: the
 likelihood's comes from the same mode solve as its value
 (``LoglikEvaluator.value_and_grad``), the penalty's is analytic.
-Maximization is BFGS with a Wolfe line search, given the objective
-and its gradient in one call per point.  Where the line search stalls
-before the gradient tolerance is met, Newton steps on the
+Maximization is BFGS with a strong-Wolfe line search, given the
+objective and its gradient in one call per point.  Both are the
+package's own (``minimize``), after Nocedal & Wright (2006), Numerical
+Optimization, algorithms 3.5, 3.6 and 6.1.  Where the line search
+stalls before the gradient tolerance is met, Newton steps on the
 central-difference Jacobian of the gradient polish the estimate.
 
 The gradient tolerance ``GRAD_TOL``, the iteration cap ``MAX_ITER`` and
@@ -19,17 +21,15 @@ all of R^d, so the optimization is unconstrained.
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from .likelihood import MAX_QUADRATURE, LoglikEvaluator, ModeFindingError, gauss_hermite_rule
-from .model import ClusteredDataset, Theta, n_psi, psi_names
+from .model import ClusteredDataset, Theta, expit, n_psi, psi_names
 from .penalties import (
     SingularInformationError,
     composite_penalty,
@@ -45,16 +45,25 @@ __all__ = [
     "objective_and_gradient",
     "numeric_gradient",
     "hessian_fd",
+    "minimize",
     "fit",
     "parameter_names",
 ]
 
 GRAD_TOL = 1e-6
 MAX_ITER = 500
-FD_STEP_SCALE = float(np.finfo(float).eps) ** (1.0 / 3.0)
+EPS = float(np.finfo(float).eps)
+FD_STEP_SCALE = EPS ** (1.0 / 3.0)
 
 START_NEWTON_STEPS = 25
 POLISH_STEPS = 8
+
+# Strong-Wolfe line search: sufficient-decrease and curvature constants,
+# and the trials allowed while bracketing and while zooming.
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+BRACKET_STEPS = 10
+ZOOM_STEPS = 10
 
 
 class FitError(RuntimeError):
@@ -260,6 +269,142 @@ def hessian_fd(grad, x: np.ndarray) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
+def _cubic_min(a, fa, da, b, fb, db):
+    """Minimizer of the cubic with values fa, fb and slopes da, db at a, b; NaN if none."""
+    try:
+        d1 = da + db - 3.0 * (fa - fb) / (a - b)
+        d2 = math.copysign(math.sqrt(d1 * d1 - da * db), b - a)
+        return b - (b - a) * (db + d2 - d1) / (db - da + 2.0 * d2)
+    except (ArithmeticError, ValueError):
+        return math.nan
+
+
+def _next_trial(x, t, y, overshot):
+    """The next trial step inside a bracket, by More & Thuente's rules.
+
+    ``x`` is the best point before the latest trial ``t`` and ``y`` the
+    far end of the bracket, each (step, value, slope); ``overshot`` says
+    that t is worse than x or fails sufficient decrease.  The candidates
+    are the minimizers of the cubic through x and t and of the quadratic
+    through their values and the slope at x, and the secant root of the
+    slopes; NaN when they give no step.
+    """
+    (ax, fx, dx), (at, ft, dt) = x, t
+    cubic = _cubic_min(ax, fx, dx, at, ft, dt)
+    if overshot:  # stay near x
+        chord = dx + (fx - ft) / (at - ax)
+        quad = ax + 0.5 * dx / chord * (at - ax) if chord else math.nan
+        return cubic if abs(cubic - ax) <= abs(quad - ax) else 0.5 * (cubic + quad)
+    secant = at + dt / (dt - dx) * (ax - at) if dt != dx else math.nan
+    if dt * dx < 0.0:  # the slope changed sign between x and t
+        return cubic if abs(cubic - at) > abs(secant - at) else secant
+    if abs(dt) < abs(dx):
+        step = cubic if abs(cubic - at) < abs(secant - at) else secant
+        limit = at + 0.66 * (y[0] - at)
+        return min(step, limit) if at < y[0] else max(step, limit)
+    return _cubic_min(at, ft, dt, *y)
+
+
+def _zoom(phi, f0, slope0, x, t):
+    """Algorithm 3.6: shrink the bracket to a step meeting the strong Wolfe conditions.
+
+    ``x`` is the best point so far and the trial ``t`` bounds the
+    bracket beyond a minimizer, each (step, value, slope).  Trials come
+    from ``_next_trial``, or bisect where it gives none inside the
+    bracket or two trials left it wider than 2/3.  A non-finite value
+    counts as too long.  Gives up once no step in the bracket can
+    change the value beyond rounding.
+    """
+    y, widths = x, [math.inf, math.inf]
+    for _ in range(ZOOM_STEPS):
+        overshot = not t[1] <= f0 + WOLFE_C1 * t[0] * slope0 or not t[1] < x[1]
+        step = _next_trial(x, t, y, overshot)
+        if overshot:
+            y = t
+        else:
+            y, x = (x if t[2] * x[2] < 0.0 else y), t
+        left, right = min(x[0], y[0]), max(x[0], y[0])
+        widths.append(right - left)
+        if widths[-1] * -slope0 <= EPS * abs(f0):
+            return None
+        if not left < step < right or widths[-1] > 0.66 * widths[-3]:
+            step = 0.5 * (left + right)
+        f, g, d = phi(step)
+        t = (step, f, d)
+        if f <= f0 + WOLFE_C1 * step * slope0 and f < x[1] and abs(d) <= -WOLFE_C2 * slope0:
+            return step, f, g
+    return None
+
+
+def _wolfe_step(fun, x, direction, f0, g0, f_prev):
+    """Algorithm 3.5: a step along ``direction`` meeting the strong Wolfe conditions.
+
+    The first trial step is min(1, 2.02 (f0 - f_prev) / slope), which
+    repeats the previous iteration's decrease.  A step too short is
+    extended as More & Thuente do, to the farther of the cubic's
+    minimizer and the secant root of the slope, by 1.1 to 4 times the
+    last increase.  Returns (step, value, gradient), or None.
+    """
+    slope0 = float(g0 @ direction)
+    if not slope0 < 0.0:
+        return None
+
+    def phi(alpha):
+        f, g = fun(x + alpha * direction)
+        return float(f), g, float(g @ direction)
+
+    alpha = min(1.0, 2.02 * (f0 - f_prev) / slope0) if f0 < f_prev else 1.0
+    old = (0.0, f0, slope0)
+    for i in range(BRACKET_STEPS):
+        f, g, d = phi(alpha)
+        armijo = f <= f0 + WOLFE_C1 * alpha * slope0 and (i == 0 or f < old[1])
+        if armijo and abs(d) <= -WOLFE_C2 * slope0:
+            return alpha, f, g
+        if not armijo or d >= 0.0:
+            return _zoom(phi, f0, slope0, old, (alpha, f, d))
+        guess = math.inf
+        if d > old[2]:
+            cubic = _cubic_min(*old, alpha, f, d)
+            secant = alpha + d * (alpha - old[0]) / (old[2] - d)
+            guess = max(secant, cubic if cubic > alpha else guess)
+        width, old = alpha - old[0], (alpha, f, d)
+        alpha = min(max(guess, alpha + 1.1 * width), alpha + 4.0 * width)
+    return None
+
+
+def minimize(fun, x0, callback=None):
+    """Minimize by BFGS, given ``fun(x)`` = (value, gradient).
+
+    Algorithm 6.1 from the identity inverse Hessian, with the step
+    lengths of ``_wolfe_step``.  Stops at gradient norm ``GRAD_TOL``,
+    after ``MAX_ITER`` iterations, or when the line search finds no
+    step, as it does once value changes fall below rounding.
+    ``callback(x, value)`` runs after each iteration.  Returns the last
+    iterate, its value and gradient, and the iteration count.
+    """
+    x = np.asarray(x0, dtype=float)
+    f, g = fun(x)
+    f, H, nit = float(f), np.eye(x.size), 0
+    f_prev = f + np.linalg.norm(g) / 2.0  # makes the first trial step min(1, 1.01 / |g|)
+    while nit < MAX_ITER and np.linalg.norm(g) > GRAD_TOL:
+        direction = -(H @ g)
+        found = _wolfe_step(fun, x, direction, f, g, f_prev)
+        if found is None:
+            break
+        alpha, f_new, g_new = found
+        s, y = alpha * direction, g_new - g
+        x, f_prev, f, g = x + s, f, f_new, g_new
+        nit += 1
+        if callback is not None:
+            callback(x, f)
+        sy = float(s @ y)
+        if sy > 0.0:
+            Hy = H @ y
+            H = (H + (sy + y @ Hy) / sy**2 * np.outer(s, s)
+                 - (np.outer(Hy, s) + np.outer(s, Hy)) / sy)
+    return x, f, g, nit
+
+
 def _penalized_logistic_start(X: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
     """Newton steps on the Jeffreys-penalized fixed-effects logistic fit.
 
@@ -282,7 +427,8 @@ def _penalized_logistic_start(X: np.ndarray, y: np.ndarray, c: float) -> np.ndar
         score = X.T @ (y - mu) + c * jeffreys_penalty(X, beta).gradient
         if np.linalg.norm(score) < 1e-10:
             break
-        step = cho_solve(cho_factor(K, lower=True), score)
+        L = np.linalg.cholesky(K)
+        step = np.linalg.solve(L.T, np.linalg.solve(L, score))
         t = 1.0
         for _ in range(30):
             cand = pll(beta + t * step)
@@ -367,23 +513,16 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
         return -value, -grad
 
     trace = []
-
-    def record(intermediate_result):
-        trace.append(-intermediate_result.fun)
-
     x0 = _start_theta(data, options).as_vector()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            res = minimize(
-                negated, x0, jac=True, method="BFGS", callback=record,
-                options={"gtol": GRAD_TOL, "norm": 2, "maxiter": MAX_ITER},
-            )
+            x, value, grad, iterations = minimize(negated, x0, lambda _, f: trace.append(-f))
             # Near the optimum the line search stalls once objective gains
             # shrink below float rounding; a Newton step still reduces the
-            # gradient.  SciPy's result carries the objective and gradient.
+            # gradient.
             x_best, value, grad, polish_steps = _newton_polish(
-                objective_and_grad, res.x, -res.fun, -res.jac
+                objective_and_grad, x, -value, -grad
             )
         theta_hat = Theta.from_vector(x_best, p)
         loglik_hat = evaluator.loglik(theta_hat)
@@ -396,7 +535,7 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
         loglik=float(loglik_hat),
         penalized=float(value),
         converged=bool(grad_norm <= GRAD_TOL),
-        iterations=int(res.nit),
+        iterations=iterations,
         polish_steps=polish_steps,
         evaluations=evaluations,
         grad_norm=grad_norm,

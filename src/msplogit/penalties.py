@@ -20,10 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
-from scipy.special import expit
 
-from .model import ClusteredDataset, Theta, n_psi
+from .model import ClusteredDataset, Theta, expit, n_psi
 
 __all__ = [
     "PenaltyValue",
@@ -97,9 +95,10 @@ def jeffreys_penalty(X: np.ndarray, beta: np.ndarray) -> PenaltyValue:
     w = mu * (1.0 - mu)
     K = X.T @ (w[:, None] * X)
     try:
-        R = cholesky(K, lower=False)
-        value = float(np.sum(np.log(np.diag(R))))
-        S = cho_solve((R, False), X.T)
+        L = np.linalg.cholesky(K)
+        value = float(np.sum(np.log(np.diag(L))))
+        B = np.linalg.solve(L, X.T)  # h_t = w_t |L^{-1} x_t|^2
+        h = w * np.einsum("pt,pt->t", B, B)
     except np.linalg.LinAlgError:
         sign, logdet = np.linalg.slogdet(K)
         if sign <= 0 or not np.isfinite(logdet):
@@ -111,7 +110,7 @@ def jeffreys_penalty(X: np.ndarray, beta: np.ndarray) -> PenaltyValue:
         # least-squares solve; accuracy is immaterial this far out.
         value = 0.5 * logdet
         S = np.linalg.lstsq(K, X.T, rcond=None)[0]
-    h = w * np.einsum("tp,pt->t", X, S)
+        h = w * np.einsum("tp,pt->t", X, S)
     grad = 0.5 * (X.T @ (h * (1.0 - 2.0 * mu)))
     return PenaltyValue(value, grad)
 

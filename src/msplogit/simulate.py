@@ -27,10 +27,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .inference import attach_se, normal_quantile
-from .model import ClusteredDataset, Theta, psi_to_chol
+from .model import ClusteredDataset, Theta, expit, psi_to_chol
 from .optimize import FitError, FitOptions, fit, parameter_names
 
 __all__ = [

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import msplogit.inference as inference
 from msplogit.inference import (
@@ -82,6 +83,10 @@ class TestWaldCi:
         assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
         assert normal_quantile(0.5) == 0.0
         assert normal_quantile(0.9995) == pytest.approx(3.290526731491926, abs=1e-9)
+
+    @pytest.mark.parametrize("prob", [0.975, 1e-10, 1.0 - 1e-10])
+    def test_quantile_matches_ndtri(self, prob):
+        assert normal_quantile(prob) == pytest.approx(ndtri(prob), rel=1e-15, abs=0.0)
 
 
 class TestWaldSe:

@@ -4,11 +4,16 @@ No module imports a private (underscore) name from a sibling module, so
 each rule lives in the module that owns it; what a module imports from
 a sibling is in that sibling's ``__all__``, and every ``__all__`` entry
 exists.  ``datasets`` does not import ``cli``: the command line sits
-above the data layer.
+above the data layer.  No module imports scipy, which is a test
+dependency only: importing it would cost every process more than
+numpy does.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import msplogit
@@ -119,3 +124,32 @@ def test_guard_catches_unexported_imports(tmp_path):
     assert _unexported_imports(source) == [
         "mod.py: GRAD_TOL from optimize", "mod.py: MODE_MAX_ITER from likelihood",
     ]
+
+
+def _scipy_imports(path):
+    return [f"{path.name}: {module}" for module, _ in _imports(path) if module.split(".")[0] == "scipy"]
+
+
+def test_no_module_imports_scipy():
+    offenders = [hit for path in sorted(PACKAGE_DIR.glob("*.py")) for hit in _scipy_imports(path)]
+    assert not offenders, offenders
+
+
+def test_guard_catches_lazy_scipy_imports(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "import numpy as np\n"
+        "def f():\n    import scipy.linalg\n"
+        "class C:\n    def g(self):\n        from scipy.special import expit\n",
+        encoding="utf-8",
+    )
+    assert _scipy_imports(source) == ["mod.py: scipy.linalg", "mod.py: scipy.special"]
+
+
+def test_importing_the_package_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE_DIR.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    code = "import sys, msplogit, msplogit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +12,7 @@ from msplogit.model import (
     DataError,
     Theta,
     conditional_loglik,
+    expit,
     psi_to_sigma,
     sigma_to_psi,
     validate_covariance,
@@ -136,6 +140,21 @@ class TestConditionalLoglik:
             conditional_loglik(c, np.zeros(2), np.zeros(1))
         with pytest.raises(ValueError):
             conditional_loglik(c, np.zeros(1), np.zeros(2))
+
+
+class TestExpit:
+    def test_matches_scipy_without_warnings(self):
+        eta = np.concatenate([np.linspace(-800.0, 800.0, 16001), [-745.0, -709.79, -709.78, 0.0, 745.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = expit(eta)
+        np.testing.assert_array_max_ulp(mu, scipy.special.expit(eta), maxulp=2)
+        assert (mu[eta < -709.78] == 0.0).all()
+        assert (mu[eta > -709.78] > 0.0).all()
+
+    def test_scalar_input(self):
+        assert expit(0.0) == 0.5
+        assert expit(-800.0) == 0.0 and expit(800.0) == 1.0
 
 
 class TestDatasetInvariants:

@@ -109,6 +109,90 @@ class TestNumericGradient:
         assert np.array_equal(H, H.T)
 
 
+def _quadratic(A, c):
+    """0.5 (x - c)' A (x - c) and its gradient."""
+    return lambda x: (0.5 * (x - c) @ A @ (x - c), A @ (x - c))
+
+
+def _rosenbrock(x):
+    a, b = x
+    value = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+    return value, np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)])
+
+
+def _recorded(fun):
+    """``fun``, and a dict from each point it was called at to its (value, gradient)."""
+    calls = {}
+
+    def wrapped(x):
+        calls[x.tobytes()] = result = fun(x)
+        return result
+
+    return wrapped, calls
+
+
+class TestMinimize:
+    def test_convex_quadratic_reaches_grad_tol(self):
+        rng = np.random.default_rng(3)
+        M = rng.normal(size=(5, 5))
+        A, c = M @ M.T + 0.5 * np.eye(5), rng.normal(size=5)
+        x, value, grad, nit = optimize.minimize(_quadratic(A, c), np.zeros(5))
+        assert np.linalg.norm(grad) <= optimize.GRAD_TOL
+        assert np.abs(x - c).max() < 1e-5
+        assert 0 < nit < 50
+
+    def test_rosenbrock_reaches_grad_tol(self):
+        x, value, grad, nit = optimize.minimize(_rosenbrock, np.array([-1.2, 1.0]))
+        assert np.linalg.norm(grad) <= optimize.GRAD_TOL
+        assert np.abs(x - 1.0).max() < 1e-5
+        assert value < 1e-10
+
+    @pytest.mark.parametrize("start", [(-1.2, 1.0), (2.0, -1.5), (0.0, 3.0)])
+    def test_accepted_steps_meet_strong_wolfe(self, start):
+        fun, calls = _recorded(_rosenbrock)
+        x0 = np.array(start)
+        iterates = [x0]
+        optimize.minimize(fun, x0, lambda x, f: iterates.append(x))
+        assert len(iterates) > 10
+        for x, x_new in zip(iterates, iterates[1:]):
+            (f, g), (f_new, g_new) = calls[x.tobytes()], calls[x_new.tobytes()]
+            step = x_new - x
+            assert g @ step < 0.0
+            assert f_new <= f + optimize.WOLFE_C1 * (g @ step)
+            assert abs(g_new @ step) <= optimize.WOLFE_C2 * abs(g @ step)
+
+    def test_infinite_values_are_backed_off(self):
+        # +inf with a NaN gradient beyond radius 0.5, as the penalized
+        # objective is where its information matrix is singular; the first
+        # trial step lands there.
+        quadratic = _quadratic(np.diag([1.0, 4.0]), np.array([0.3, 0.0]))
+
+        def walled(x):
+            return (np.inf, np.full(2, np.nan)) if x @ x > 0.25 else quadratic(x)
+
+        fun, calls = _recorded(walled)
+        iterates = []
+        x, value, grad, nit = optimize.minimize(fun, np.array([-0.3, 0.3]), lambda x, f: iterates.append(x))
+        assert any(np.isinf(f) for f, _ in calls.values())
+        assert all(np.isfinite(v).all() and v @ v <= 0.25 for v in iterates)
+        assert np.linalg.norm(grad) <= optimize.GRAD_TOL
+        assert np.abs(x - [0.3, 0.0]).max() < 1e-5
+
+    def test_max_iter_is_honoured(self, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_ITER", 3)
+        x, value, grad, nit = optimize.minimize(_rosenbrock, np.array([-1.2, 1.0]))
+        assert nit == 3
+        assert np.linalg.norm(grad) > optimize.GRAD_TOL
+
+    def test_callback_fires_once_per_iteration(self):
+        fun, calls = _recorded(_rosenbrock)
+        seen = []
+        x, value, grad, nit = optimize.minimize(fun, np.array([-1.2, 1.0]), lambda x, f: seen.append((x, f)))
+        assert len(seen) == nit
+        assert all(f == calls[v.tobytes()][0] for v, f in seen)
+        assert seen[-1][0] is x and seen[-1][1] == value
+
+
 class TestObjective:
     def test_penalty_additivity(self):
         data = make_dataset(k=3, n_i=4, p=2, seed=2)
