@@ -11,7 +11,6 @@ behavior of the ML estimator, including equivariance under contrasts.
 """
 
 from .model import (
-    Cluster,
     ClusteredDataset,
     DataError,
     Theta,
@@ -60,7 +59,6 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cluster",
     "ClusteredDataset",
     "DataError",
     "Theta",

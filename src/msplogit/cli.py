@@ -112,6 +112,8 @@ class RunConfig:
             self.methods = [self.method]
         elif not self.methods:
             raise DataError("methods must name at least one method")
+        elif len(set(self.methods)) != len(self.methods):
+            raise DataError(f"methods must not repeat a method, got {self.methods}")
         q = len(self.random) + self.intercept
         try:
             for m in [self.method] + self.methods:
@@ -245,7 +247,7 @@ def format_simulation_document(
         lines.append(f"| param {header}")
         centered = ms.centered(summary.truth)
         for j, name in enumerate(summary.param_names):
-            row = percentile_table(centered[:, j]) if ms.retained else percentile_table(np.empty(0))
+            row = percentile_table(centered[:, j])
             lines.append("| " + name + " " + " ".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .model import Cluster, ClusteredDataset, DataError
+from .model import ClusteredDataset, DataError
 
 __all__ = ["load_csv", "culcita_path", "culcita_columns", "culcita", "CULCITA_ATYPICAL_ROW"]
 
@@ -29,9 +29,10 @@ def load_csv(path: str, config) -> ClusteredDataset:
     ``config`` names the columns through its ``response``, ``cluster``,
     ``fixed``, ``random`` and ``intercept`` attributes, as
     ``cli.RunConfig`` does; nothing else of it is read.  Rows are
-    grouped by the cluster column in order of first appearance.  When
-    ``config.intercept`` is set, a column of ones is prepended to both
-    the fixed-effects and the random-effects designs.
+    grouped by the cluster column, and the groups stacked in order of
+    each label's first appearance.  When ``config.intercept`` is set, a
+    column of ones is prepended to both the fixed-effects and the
+    random-effects designs.
     Structural problems raise ``DataError`` naming the offending line.
     """
     try:
@@ -96,18 +97,14 @@ def load_csv(path: str, config) -> ClusteredDataset:
 
     if not labels:
         raise DataError(f"{path}: no data rows")
-    clusters = []
-    for label in labels:
-        rows = groups[label]
-        clusters.append(
-            Cluster(
-                np.array([r[0] for r in rows]),
-                np.array([r[1] for r in rows]),
-                np.array([r[2] for r in rows]),
-            )
-        )
+    rows = [row for label in labels for row in groups[label]]
     try:
-        return ClusteredDataset(tuple(clusters))
+        return ClusteredDataset(
+            np.array([r[0] for r in rows]),
+            np.array([r[1] for r in rows]),
+            np.array([r[2] for r in rows]),
+            [len(groups[label]) for label in labels],
+        )
     except DataError as err:
         raise DataError(f"{path}: {err}") from None
 
@@ -132,7 +129,7 @@ def culcita(drop_atypical: bool = False) -> ClusteredDataset:
     """The predation data as a clustered dataset (p = 4 with intercept, q = 1).
 
     With ``drop_atypical`` the block-10 no-symbiont zero response is
-    removed, leaving 79 rows.
+    removed, leaving 79 rows; a cluster left without rows is dropped.
     """
     data = load_csv(culcita_path(), SimpleNamespace(**culcita_columns()))
     if not drop_atypical:
@@ -149,10 +146,5 @@ def culcita(drop_atypical: bool = False) -> ClusteredDataset:
                 (cells[i_block], cells[i_treat], int(cells[i_rep])) != CULCITA_ATYPICAL_ROW
             )
     keep = np.array(keep)
-    offs = data.row_offsets
-    clusters = []
-    for i, c in enumerate(data.clusters):
-        mask = keep[offs[i]:offs[i + 1]]
-        if mask.any():
-            clusters.append(Cluster(c.y[mask], c.X[mask], c.Z[mask]))
-    return ClusteredDataset(tuple(clusters))
+    sizes = np.bincount(data.row_cluster[keep], minlength=data.k)
+    return ClusteredDataset(data.y[keep], data.X[keep], data.Z[keep], sizes[sizes > 0])

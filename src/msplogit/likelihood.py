@@ -188,6 +188,24 @@ def _q1_scale(sigma: float):
     return s, ratio
 
 
+def _warm_start(g_all, v0, zero: np.ndarray):
+    """Starting modes and their exponents: ``v0`` where it beats ``zero``.
+
+    A warm start from a parameter point at a very different scale can be
+    worse than a cold start, so each cluster keeps whichever is better.
+    Without ``v0`` the start is ``zero``.
+    """
+    if v0 is None:
+        return zero, g_all(zero)
+    v = np.array(v0, dtype=float)
+    g = g_all(v)
+    g0 = g_all(zero)
+    worse = ~(g >= g0)
+    v[worse] = 0.0
+    g[worse] = g0[worse]
+    return v, g
+
+
 def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
     """All cluster modes at once for q = 1, in the t = u / min(sigma, 1) scale.
 
@@ -205,19 +223,7 @@ def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
         eta = xb + sz * v_vec[idx]
         return _segsum(y * eta - np.logaddexp(0.0, eta), offs) - 0.5 * ratio * v_vec**2
 
-    if v0 is None:
-        v = np.zeros(data.k)
-        g = g_all(v)
-    else:
-        # A warm start from a parameter point at a very different scale
-        # can be worse than a cold start; keep whichever is better per
-        # cluster.
-        v = np.array(v0, dtype=float)
-        g = g_all(v)
-        g0 = g_all(np.zeros(data.k))
-        worse = ~(g >= g0)
-        v[worse] = 0.0
-        g[worse] = g0[worse]
+    v, g = _warm_start(g_all, v0, np.zeros(data.k))
     lam = np.zeros(data.k)
     grad = None
     for _ in range(MODE_MAX_ITER):
@@ -290,17 +296,7 @@ def _modes_general(data: ClusteredDataset, xb: np.ndarray, A: np.ndarray, v0=Non
         H = _segsum((mu * (1.0 - mu))[:, None, None] * AA, offs) + eye
         return grad, H
 
-    if v0 is None:
-        v = np.zeros((k, q))
-        g = g_all(v)
-    else:
-        # As for q = 1: keep the warm start only where it beats v = 0.
-        v = np.array(v0, dtype=float)
-        g = g_all(v)
-        g0 = g_all(np.zeros((k, q)))
-        worse = ~(g >= g0)
-        v[worse] = 0.0
-        g[worse] = g0[worse]
+    v, g = _warm_start(g_all, v0, np.zeros((k, q)))
     lam = np.zeros(k)
     stalled = np.zeros(k, dtype=bool)
     for _ in range(MODE_MAX_ITER):

@@ -1,6 +1,7 @@
 """Domain types for clustered binary responses with Gaussian random effects.
 
-A dataset is a list of clusters; within cluster ``i`` the responses are
+A dataset stacks the rows of its clusters, cluster by cluster.  Within
+cluster ``i``, whose rows are ``X_i`` and ``Z_i``, the responses are
 conditionally independent Bernoulli variables whose log-odds are
 ``X_i @ beta + Z_i @ u_i`` with ``u_i ~ N(0, Sigma)``.  The covariance
 ``Sigma`` is parameterized through its lower-triangular Cholesky factor
@@ -19,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "DataError",
-    "Cluster",
     "ClusteredDataset",
     "Theta",
     "n_psi",
@@ -53,93 +53,73 @@ def _readonly(a, dtype=float, ndim=None):
 
 
 @dataclass(frozen=True)
-class Cluster:
-    """Responses and design matrices for a single cluster.
+class ClusteredDataset:
+    """Responses and designs of k clusters, stacked cluster by cluster.
 
     Attributes:
-        y: (n_i,) vector with entries exactly 0 or 1.
-        X: (n_i, p) fixed-effects design matrix.
-        Z: (n_i, q) random-effects design matrix.
+        y: (n,) responses, each exactly 0 or 1.
+        X: (n, p) fixed-effects design.
+        Z: (n, q) random-effects design.
+        sizes: (k,) row counts; cluster i holds the rows
+            ``row_offsets[i]`` to ``row_offsets[i + 1]``.
+
+    Construction validates the shapes, that the sizes are positive
+    integers summing to n, that the designs are finite and the
+    responses binary, that the fixed-effects design has full column
+    rank (rank-revealing SVD with tolerance ``RANK_RTOL * s_max``), and
+    that there are at least ``p`` observations.  ``row_offsets``
+    (k + 1,) marks the cluster block boundaries and ``row_cluster``
+    (n,) is each row's cluster.
     """
 
     y: np.ndarray
     X: np.ndarray
     Z: np.ndarray
+    sizes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _readonly(self.y, ndim=1))
-        object.__setattr__(self, "X", _readonly(self.X, ndim=2))
-        object.__setattr__(self, "Z", _readonly(self.Z, ndim=2))
-        n = self.y.shape[0]
-        if n == 0:
-            raise DataError("empty cluster")
-        if self.X.shape[0] != n or self.Z.shape[0] != n:
-            raise DataError(
-                f"row mismatch in cluster: y has {n} rows, "
-                f"X has {self.X.shape[0]}, Z has {self.Z.shape[0]}"
-            )
-        if not (np.isfinite(self.X).all() and np.isfinite(self.Z).all()):
-            raise DataError("non-finite design entries")
-        if not np.isin(self.y, (0.0, 1.0)).all():
-            raise DataError("responses must be exactly 0 or 1")
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
-
-@dataclass(frozen=True)
-class ClusteredDataset:
-    """An ordered collection of clusters sharing the same design widths.
-
-    Construction validates that every cluster has the same ``p`` and
-    ``q``, that the stacked fixed-effects design has full column rank
-    (rank-revealing SVD with tolerance ``RANK_RTOL * s_max``), and that
-    there are at least ``p`` observations in total.  Stacked views of
-    the designs are precomputed; ``row_offsets`` marks the cluster
-    block boundaries in the stacked arrays.
-    """
-
-    clusters: tuple[Cluster, ...]
-
-    def __post_init__(self):
-        clusters = tuple(self.clusters)
-        if not clusters:
+        y = _readonly(self.y, ndim=1)
+        X = _readonly(self.X, ndim=2)
+        Z = _readonly(self.Z, ndim=2)
+        sizes = _readonly(self.sizes, dtype=None, ndim=1)
+        if sizes.size == 0:
             raise DataError("dataset has no clusters")
-        object.__setattr__(self, "clusters", clusters)
-        p = clusters[0].X.shape[1]
-        q = clusters[0].Z.shape[1]
-        for i, c in enumerate(clusters):
-            if c.X.shape[1] != p or c.Z.shape[1] != q:
-                raise DataError(
-                    f"cluster {i} has design widths ({c.X.shape[1]}, {c.Z.shape[1]}), "
-                    f"expected ({p}, {q})"
-                )
+        if not np.issubdtype(sizes.dtype, np.integer):
+            raise DataError(f"cluster sizes must be integers, got {sizes}")
+        if (sizes < 1).any():
+            raise DataError(f"every cluster needs at least one row, got sizes {sizes}")
+        n = y.shape[0]
+        if sizes.sum() != n:
+            raise DataError(f"cluster sizes sum to {sizes.sum()}, but there are {n} responses")
+        if X.shape[0] != n or Z.shape[0] != n:
+            raise DataError(
+                f"row mismatch: y has {n} rows, X has {X.shape[0]}, Z has {Z.shape[0]}"
+            )
+        p, q = X.shape[1], Z.shape[1]
         if p < 1 or q < 1:
             raise DataError("designs need at least one column")
-        X = np.concatenate([c.X for c in clusters], axis=0)
-        Z = np.concatenate([c.Z for c in clusters], axis=0)
-        y = np.concatenate([c.y for c in clusters])
-        sizes = np.array([c.n for c in clusters])
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        n = int(offsets[-1])
+        if not (np.isfinite(X).all() and np.isfinite(Z).all()):
+            raise DataError("non-finite design entries")
+        if not np.isin(y, (0.0, 1.0)).all():
+            raise DataError("responses must be exactly 0 or 1")
         if n < p:
             raise DataError(f"need at least p={p} observations, got {n}")
         s = np.linalg.svd(X, compute_uv=False)
         if (s > RANK_RTOL * s[0]).sum() < p:
             raise DataError("stacked fixed-effects design is rank deficient")
         for name, val in (
-            ("X", _readonly(X)),
-            ("Z", _readonly(Z)),
-            ("y", _readonly(y)),
-            ("row_offsets", _readonly(offsets, dtype=np.intp)),
-            ("row_cluster", _readonly(np.repeat(np.arange(len(clusters)), sizes), dtype=np.intp)),
+            ("y", y),
+            ("X", X),
+            ("Z", Z),
+            ("sizes", _readonly(sizes, dtype=np.intp)),
+            ("row_offsets", _readonly(np.concatenate(([0], np.cumsum(sizes))), dtype=np.intp)),
+            ("row_cluster", _readonly(np.repeat(np.arange(sizes.size), sizes), dtype=np.intp)),
         ):
             object.__setattr__(self, name, val)
 
     @property
     def k(self) -> int:
-        return len(self.clusters)
+        return self.sizes.shape[0]
 
     @property
     def n(self) -> int:
@@ -155,29 +135,14 @@ class ClusteredDataset:
 
     def with_responses(self, y: np.ndarray) -> "ClusteredDataset":
         """Same designs, new stacked response vector (used by the simulator)."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n,):
-            raise DataError(f"expected {self.n} responses, got shape {y.shape}")
-        offs = self.row_offsets
-        return ClusteredDataset(
-            tuple(
-                Cluster(y[offs[i]:offs[i + 1]], c.X, c.Z)
-                for i, c in enumerate(self.clusters)
-            )
-        )
+        return ClusteredDataset(y, self.X, self.Z, self.sizes)
 
     def with_fixed_design(self, X: np.ndarray) -> "ClusteredDataset":
         """Same responses and Z, new stacked fixed-effects design."""
         X = np.asarray(X, dtype=float)
         if X.shape != (self.n, self.p):
             raise DataError(f"expected design of shape {(self.n, self.p)}, got {X.shape}")
-        offs = self.row_offsets
-        return ClusteredDataset(
-            tuple(
-                Cluster(c.y, X[offs[i]:offs[i + 1]], c.Z)
-                for i, c in enumerate(self.clusters)
-            )
-        )
+        return ClusteredDataset(self.y, X, self.Z, self.sizes)
 
 
 def n_psi(q: int) -> int:
@@ -327,21 +292,24 @@ def validate_covariance(sigma: np.ndarray, atol: float = 0.0) -> None:
         raise ValueError("covariance implies a correlation of magnitude one")
 
 
-def conditional_loglik(cluster: Cluster, beta: np.ndarray, u: np.ndarray) -> float:
-    """Bernoulli log-likelihood of one cluster given its random effect.
+def conditional_loglik(data: ClusteredDataset, i: int, beta: np.ndarray, u: np.ndarray) -> float:
+    """Bernoulli log-likelihood of cluster i given its random effect u.
 
-    Evaluates sum_j [y_j eta_j - log(1 + exp(eta_j))] with
-    eta = X @ beta + Z @ u, using log1p-exp so that linear predictors
-    with magnitude up to ~1e3 do not overflow.
+    Evaluates sum_j [y_j eta_j - log(1 + exp(eta_j))] over the cluster's
+    rows with eta = X @ beta + Z @ u, using log1p-exp so that linear
+    predictors with magnitude up to ~1e3 do not overflow.
     """
     beta = np.asarray(beta, dtype=float)
     u = np.asarray(u, dtype=float)
-    if beta.shape != (cluster.X.shape[1],):
-        raise ValueError(f"beta must have length {cluster.X.shape[1]}, got {beta.shape}")
-    if u.shape != (cluster.Z.shape[1],):
-        raise ValueError(f"u must have length {cluster.Z.shape[1]}, got {u.shape}")
-    eta = cluster.X @ beta + cluster.Z @ u
-    return float(np.sum(cluster.y * eta - np.logaddexp(0.0, eta)))
+    if not 0 <= i < data.k:
+        raise IndexError(f"cluster {i} out of range for k={data.k}")
+    if beta.shape != (data.p,):
+        raise ValueError(f"beta must have length {data.p}, got {beta.shape}")
+    if u.shape != (data.q,):
+        raise ValueError(f"u must have length {data.q}, got {u.shape}")
+    rows = slice(data.row_offsets[i], data.row_offsets[i + 1])
+    eta = data.X[rows] @ beta + data.Z[rows] @ u
+    return float(np.sum(data.y[rows] * eta - np.logaddexp(0.0, eta)))
 
 
 def expit(eta):

@@ -224,6 +224,20 @@ def objective_and_gradient(
     return value, grad
 
 
+def _central_probes(f, x: np.ndarray):
+    """Yield (j, f(x + h e_j), f(x - h e_j), h) for each coordinate j.
+
+    The step is ``h = FD_STEP_SCALE * max(1, |x_j|)``.
+    """
+    for j in range(x.size):
+        h = FD_STEP_SCALE * max(1.0, abs(x[j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        yield j, f(xp), f(xm), h
+
+
 def numeric_gradient(f, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient with per-coordinate relative steps.
 
@@ -234,14 +248,7 @@ def numeric_gradient(f, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     grad = np.empty_like(x)
-    for j in range(x.size):
-        h = FD_STEP_SCALE * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fp = f(xp)
-        fm = f(xm)
+    for j, fp, fm, h in _central_probes(f, x):
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise GradientError(
                 f"non-finite objective while probing coordinate {j} "
@@ -259,13 +266,8 @@ def hessian_fd(grad, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     H = np.empty((x.size, x.size))
-    for j in range(x.size):
-        h = FD_STEP_SCALE * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        H[:, j] = (grad(xp) - grad(xm)) / (2.0 * h)
+    for j, gp, gm, h in _central_probes(grad, x):
+        H[:, j] = (gp - gm) / (2.0 * h)
     return 0.5 * (H + H.T)
 
 

@@ -92,6 +92,8 @@ class SimulationDesign:
             object.__setattr__(self, "labels", tuple(labels))
         elif len(self.labels) != len(self.methods):
             raise ValueError("one label per method required")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"method labels must be distinct, got {self.labels}")
         if self.theta_true.p != self.template.p or self.theta_true.q != self.template.q:
             raise ValueError("theta_true does not match the template dimensions")
 
@@ -108,10 +110,11 @@ def simulate_responses(
     xb = template.X @ theta_true.beta
     offs = template.row_offsets
     y = np.empty(template.n)
-    for i, cluster in enumerate(template.clusters):
+    for i in range(template.k):
+        rows = slice(offs[i], offs[i + 1])
         u = L @ rng.standard_normal(theta_true.q)
-        mu = expit(xb[offs[i]:offs[i + 1]] + cluster.Z @ u)
-        y[offs[i]:offs[i + 1]] = (rng.random(cluster.n) < mu).astype(float)
+        mu = expit(xb[rows] + template.Z[rows] @ u)
+        y[rows] = (rng.random(template.sizes[i]) < mu).astype(float)
     return template.with_responses(y)
 
 
@@ -255,14 +258,16 @@ def run_study(
     """Run all replications and summarize per method.
 
     ``workers`` defaults to the MSPLOGIT_THREADS environment setting
-    (or 1).  Replications are independent and may run in any order on a
+    (or 1), and the pool has at most one worker per replication.
+    Replications are independent and may run in any order on a
     process pool; records are reduced by replication index, so the
     summary is identical for any worker count.
     """
     if workers is None:
         workers = env_threads()
     R = design.replications
-    if workers > 1 and R > 1:
+    workers = min(workers, R)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, R // (8 * workers))
             all_records = list(

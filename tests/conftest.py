@@ -3,8 +3,16 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import expit, logsumexp
 
-from msplogit.model import Cluster, ClusteredDataset, Theta
+from msplogit.model import ClusteredDataset, Theta
 from msplogit.penalties import SingularInformationError, composite_penalty
+
+
+def stack_clusters(blocks):
+    """A dataset from per-cluster (y, X, Z) blocks, stacked in order."""
+    ys, Xs, Zs = zip(*blocks)
+    return ClusteredDataset(
+        np.concatenate(ys), np.concatenate(Xs), np.concatenate(Zs), [len(y) for y in ys]
+    )
 
 
 def make_dataset(k=3, n_i=4, p=2, q=1, seed=0, beta=None, psi=None):
@@ -24,8 +32,8 @@ def make_dataset(k=3, n_i=4, p=2, q=1, seed=0, beta=None, psi=None):
             u = L @ rng.standard_normal(q)
             eta = X @ np.asarray(beta, dtype=float) + Z @ u
             y = (rng.random(n_i) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-        clusters.append(Cluster(y, X, Z))
-    return ClusteredDataset(tuple(clusters))
+        clusters.append((y, X, Z))
+    return stack_clusters(clusters)
 
 
 def separation_dataset():
@@ -34,8 +42,8 @@ def separation_dataset():
     for _ in range(6):
         x = np.array([-1.0, -1.0, 1.0, 1.0])
         X = np.column_stack([np.ones(4), x])
-        clusters.append(Cluster((x > 0).astype(float), X, np.ones((4, 1))))
-    return ClusteredDataset(tuple(clusters))
+        clusters.append(((x > 0).astype(float), X, np.ones((4, 1))))
+    return stack_clusters(clusters)
 
 
 def degenerate_slope_dataset(seed=4, k=8, n_i=8):
@@ -52,8 +60,8 @@ def degenerate_slope_dataset(seed=4, k=8, n_i=8):
         u1 = rng.normal()
         eta = 0.5 + u1 - 0.5 * x
         y = (rng.random(n_i) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-        clusters.append(Cluster(y, X, X.copy()))
-    return ClusteredDataset(tuple(clusters))
+        clusters.append((y, X, X.copy()))
+    return stack_clusters(clusters)
 
 
 def trapezoid_loglik(data, theta, eta_shift=0.0):
@@ -66,13 +74,14 @@ def trapezoid_loglik(data, theta, eta_shift=0.0):
     """
     sigma2 = float(np.exp(2.0 * theta.psi[0]))
     total = 0.0
-    for c in data.clusters:
-        xb = eta_shift + c.X @ theta.beta
-        z = c.Z[:, 0]
+    for lo, hi in zip(data.row_offsets[:-1], data.row_offsets[1:]):
+        xb = eta_shift + data.X[lo:hi] @ theta.beta
+        z = data.Z[lo:hi, 0]
+        y = data.y[lo:hi]
 
         def exponent(u):
             eta = xb[:, None] + z[:, None] * u[None, :]
-            return (c.y[:, None] * eta - np.logaddexp(0.0, eta)).sum(axis=0) - 0.5 * u**2 / sigma2
+            return (y[:, None] * eta - np.logaddexp(0.0, eta)).sum(axis=0) - 0.5 * u**2 / sigma2
 
         mode = minimize_scalar(lambda u: -exponent(np.array([u]))[0]).x
         mu = expit(xb + z * mode)

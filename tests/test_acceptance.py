@@ -13,7 +13,7 @@ import pytest
 
 import msplogit as m
 from msplogit.likelihood import gauss_hermite_rule
-from msplogit.model import Cluster, ClusteredDataset, Theta
+from msplogit.model import ClusteredDataset, Theta
 from msplogit.optimize import FitOptions, fit, numeric_gradient
 from msplogit.penalties import composite_penalty, jeffreys_penalty
 from msplogit.inference import ContrastMap, attach_se, transform_dataset
@@ -288,10 +288,8 @@ def test_c8_desk_scale_simulation(culcita_full, reference_mspl_point):
 
 def test_c9_empirical_consistency():
     def intercept_design(k, n_i=5):
-        return ClusteredDataset(tuple(
-            Cluster(np.zeros(n_i), np.ones((n_i, 1)), np.ones((n_i, 1)))
-            for _ in range(k)
-        ))
+        n = k * n_i
+        return ClusteredDataset(np.zeros(n), np.ones((n, 1)), np.ones((n, 1)), [n_i] * k)
 
     truth = Theta(np.array([0.5]), np.array([-0.3]))
     methods = (FitOptions(method="mspl", approx="agq", quadrature=25),)

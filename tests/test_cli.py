@@ -38,7 +38,7 @@ class TestLoadCsv:
         config = culcita_config()
         data = load_csv(culcita_path(), config)
         assert data.k == 10
-        assert [c.n for c in data.clusters] == [8] * 10
+        assert list(data.sizes) == [8] * 10
         assert data.p == 4 and data.q == 1
         assert data.X[:, 0].min() == 1.0
         # dummy columns are mutually exclusive
@@ -91,14 +91,15 @@ class TestLoadCsv:
         )
         data = load_csv(path, config)
         # cluster "b" first because it appears first
-        assert np.allclose(data.clusters[0].X[:, 1], [0.1, 0.3])
+        assert list(data.sizes) == [2, 2]
+        assert np.allclose(data.X[:2, 1], [0.1, 0.3])
 
     def test_atypical_row_drop(self):
         assert culcita().n == 80
         reduced = culcita(drop_atypical=True)
         assert reduced.n == 79
         # removed row is the second "none" replicate of the last block
-        assert reduced.clusters[-1].n == 7
+        assert list(reduced.sizes) == [8] * 9 + [7]
 
 
 class TestFitCommand:
@@ -204,12 +205,13 @@ class TestFitCommand:
         ["simulate", "--replications", "0"],
         ["fit", "--config", {"quadrature": "20"}],
         ["simulate", "--config", {"methods": []}],
+        ["simulate", "--config", {"methods": ["mspl", "ml", "mspl"]}],
         ["fit", "--beta-max", "nan"],
         ["simulate", "--seed", "-1"],
         ["simulate", "--config", {"theta_true": [float("nan"), 0.0, 0.0, 0.0, 0.0]}],
         ["simulate", "--config", {"theta_true": [0.0, 0.0, 0.0, 0.0, float("inf")]}],
     ], ids=["quadrature-0", "quadrature-500", "config-approx", "agq-q2", "replications-0",
-            "config-quadrature-string", "config-no-methods", "beta-max-nan",
+            "config-quadrature-string", "config-no-methods", "config-repeated-method", "beta-max-nan",
             "seed-negative", "theta-true-nan", "theta-true-infinity"])
     def test_invalid_setting_is_an_input_error(self, tmp_path, capsys, extra):
         args = [

@@ -17,7 +17,7 @@ from msplogit.likelihood import (
     gauss_hermite_rule,
 )
 from msplogit.inference import attach_se
-from msplogit.model import Cluster, ClusteredDataset, Theta, psi_to_chol, psi_to_sigma
+from msplogit.model import ClusteredDataset, Theta, psi_to_chol, psi_to_sigma
 from msplogit.optimize import FitOptions, fit
 
 from conftest import make_dataset, trapezoid_loglik
@@ -112,7 +112,7 @@ def _theta(beta, psi):
 
 
 def u_modes(data, theta):
-    """Cluster modes in the u scale from every solver that serves ``data``.
+    """Per-cluster modes in the u scale from every solver that serves ``data``.
 
     At q = 1 the quadrature and Laplace paths return t = u / min(sigma, 1);
     at q >= 2 the Laplace path returns v with u = L v.  Each is (k, q).
@@ -127,7 +127,7 @@ def u_modes(data, theta):
 
 
 def single_cluster(y, X, Z):
-    return ClusteredDataset((Cluster(np.array(y), np.array(X), np.array(Z)),))
+    return ClusteredDataset(y, X, Z, [len(y)])
 
 
 class TestClusterMode:
@@ -166,15 +166,14 @@ class TestClusterMode:
             theta = _theta(rng.normal(size=2), rng.normal(scale=0.6, size=3))
             [u] = u_modes(data, theta)
             u = u[0]
-            c = data.clusters[0]
             sigma = psi_to_sigma(theta.psi, 2)
             sigma_inv = np.linalg.inv(sigma)
-            eta = c.X @ theta.beta + c.Z @ u
+            eta = data.X @ theta.beta + data.Z @ u
             mu = expit(eta)
-            grad = c.Z.T @ (c.y - mu) - sigma_inv @ u
+            grad = data.Z.T @ (data.y - mu) - sigma_inv @ u
             assert np.linalg.norm(grad) < 1e-8
-            H = c.Z.T @ ((mu * (1.0 - mu))[:, None] * c.Z) + sigma_inv
-            g = np.sum(c.y * eta - np.logaddexp(0.0, eta)) - 0.5 * u @ sigma_inv @ u
+            H = data.Z.T @ ((mu * (1.0 - mu))[:, None] * data.Z) + sigma_inv
+            g = np.sum(data.y * eta - np.logaddexp(0.0, eta)) - 0.5 * u @ sigma_inv @ u
             laplace = g - 0.5 * np.linalg.slogdet(H)[1] - 0.5 * np.linalg.slogdet(sigma)[1]
             assert LoglikEvaluator(data, "laplace").loglik(theta) == pytest.approx(laplace, abs=1e-10)
 
@@ -264,17 +263,18 @@ def tensor_grid_loglik(data, theta, Q=60):
     _, logdet = np.linalg.slogdet(sigma)
     scales = np.sqrt(np.diag(sigma))
     total = 0.0
-    for c in data.clusters:
-        xb = c.X @ theta.beta
+    for lo, hi in zip(data.row_offsets[:-1], data.row_offsets[1:]):
+        y, Z = data.y[lo:hi], data.Z[lo:hi]
+        xb = data.X[lo:hi] @ theta.beta
 
         def neg_exponent(u):
-            eta = xb + c.Z @ u
-            value = -np.sum(c.y * eta - np.logaddexp(0.0, eta)) + 0.5 * u @ sigma_inv @ u
-            return value, -c.Z.T @ (c.y - expit(eta)) + sigma_inv @ u
+            eta = xb + Z @ u
+            value = -np.sum(y * eta - np.logaddexp(0.0, eta)) + 0.5 * u @ sigma_inv @ u
+            return value, -Z.T @ (y - expit(eta)) + sigma_inv @ u
 
         def neg_hessian(u):
-            mu = expit(xb + c.Z @ u)
-            return c.Z.T @ ((mu * (1.0 - mu))[:, None] * c.Z) + sigma_inv
+            mu = expit(xb + Z @ u)
+            return Z.T @ ((mu * (1.0 - mu))[:, None] * Z) + sigma_inv
 
         mode = minimize(
             neg_exponent, np.zeros(2), jac=True, hess=neg_hessian, method="trust-exact",
@@ -283,8 +283,8 @@ def tensor_grid_loglik(data, theta, Q=60):
         ua = mode[0] + scales[0] * nodes
         ub = mode[1] + scales[1] * nodes
         UA, UB = np.meshgrid(ua, ub, indexing="ij")
-        eta = xb[None, None, :] + UA[..., None] * c.Z[None, None, :, 0] + UB[..., None] * c.Z[None, None, :, 1]
-        g = (c.y * eta - np.logaddexp(0.0, eta)).sum(axis=2) - 0.5 * (
+        eta = xb[None, None, :] + UA[..., None] * Z[None, None, :, 0] + UB[..., None] * Z[None, None, :, 1]
+        g = (y * eta - np.logaddexp(0.0, eta)).sum(axis=2) - 0.5 * (
             sigma_inv[0, 0] * UA**2 + 2 * sigma_inv[0, 1] * UA * UB + sigma_inv[1, 1] * UB**2
         )
         logw = (
@@ -316,7 +316,7 @@ class TestLaplaceLoglik:
         assert LoglikEvaluator(data, "laplace").loglik(theta) == pytest.approx(oracle, abs=1e-6)
 
 
-def loop_mode_v(cluster, xb, A, v0=None):
+def loop_mode_v(y, xb, A, v0=None):
     """Reference inner solver: one cluster at a time, damped Newton.
 
     Maximizes gt(v) = condloglik(xb + A v) - ||v||^2/2 with A = Z L,
@@ -328,7 +328,7 @@ def loop_mode_v(cluster, xb, A, v0=None):
 
     def g_of(v_vec):
         eta = xb + A @ v_vec
-        return float(np.sum(cluster.y * eta - np.logaddexp(0.0, eta)) - 0.5 * v_vec @ v_vec)
+        return float(np.sum(y * eta - np.logaddexp(0.0, eta)) - 0.5 * v_vec @ v_vec)
 
     v = np.zeros(q) if v0 is None else np.array(v0, dtype=float)
     g = g_of(v)
@@ -340,7 +340,7 @@ def loop_mode_v(cluster, xb, A, v0=None):
     lam = 0.0
     for _ in range(likelihood.MODE_MAX_ITER):
         mu = expit(xb + A @ v)
-        grad = A.T @ (cluster.y - mu) - v
+        grad = A.T @ (y - mu) - v
         H = A.T @ ((mu * (1.0 - mu))[:, None] * A) + np.eye(q)
         if np.linalg.norm(grad) < MODE_GRAD_TOL_V:
             return v, H
@@ -361,7 +361,7 @@ def loop_mode_v(cluster, xb, A, v0=None):
         if not accepted:
             break
     mu = expit(xb + A @ v)
-    grad = A.T @ (cluster.y - mu) - v
+    grad = A.T @ (y - mu) - v
     H = A.T @ ((mu * (1.0 - mu))[:, None] * A) + np.eye(q)
     if np.linalg.norm(grad) < MODE_GRAD_ESCAPE:
         return v, H
@@ -372,12 +372,13 @@ def loop_laplace_logprobs(data, theta, warm=None):
     """Reference per-cluster Laplace values from ``loop_mode_v``."""
     L = psi_to_chol(theta.psi, theta.q)
     logprobs, modes = [], []
-    for i, c in enumerate(data.clusters):
-        xb = c.X @ theta.beta
-        A = c.Z @ L
-        v, H = loop_mode_v(c, xb, A, None if warm is None else warm[i])
+    for i, (lo, hi) in enumerate(zip(data.row_offsets[:-1], data.row_offsets[1:])):
+        y = data.y[lo:hi]
+        xb = data.X[lo:hi] @ theta.beta
+        A = data.Z[lo:hi] @ L
+        v, H = loop_mode_v(y, xb, A, None if warm is None else warm[i])
         eta = xb + A @ v
-        g = float(np.sum(c.y * eta - np.logaddexp(0.0, eta)) - 0.5 * v @ v)
+        g = float(np.sum(y * eta - np.logaddexp(0.0, eta)) - 0.5 * v @ v)
         logprobs.append(g - np.sum(np.log(np.diag(np.linalg.cholesky(H)))))
         modes.append(v)
     return np.array(logprobs), np.array(modes)
@@ -486,9 +487,8 @@ def extreme_q1_clusters():
     x = np.array([-1.5, -0.5, 0.5, 1.5])
     X = np.column_stack([np.ones(4), x])
     Z = np.ones((4, 1))
-    return ClusteredDataset(tuple(
-        Cluster(y, X, Z) for y in (np.zeros(4), np.ones(4), (x > 0).astype(float), np.array([0.0, 1.0, 0.0, 1.0]))
-    ))
+    y = np.concatenate([np.zeros(4), np.ones(4), (x > 0).astype(float), [0.0, 1.0, 0.0, 1.0]])
+    return ClusteredDataset(y, np.tile(X, (4, 1)), np.tile(Z, (4, 1)), [4] * 4)
 
 
 class TestValueAndGrad:

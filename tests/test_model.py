@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msplogit.model import (
-    Cluster,
     ClusteredDataset,
     DataError,
     Theta,
@@ -86,31 +85,33 @@ class TestPsiSigma:
             validate_covariance(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def one_cluster(y, X, Z):
+    return ClusteredDataset(y, X, Z, [len(y)])
+
+
 class TestConditionalLoglik:
     def test_single_obs_eta_zero(self):
-        c = Cluster(np.array([1.0]), np.array([[1.0]]), np.array([[1.0]]))
-        val = conditional_loglik(c, np.zeros(1), np.zeros(1))
+        data = one_cluster([1.0], [[1.0]], [[1.0]])
+        val = conditional_loglik(data, 0, np.zeros(1), np.zeros(1))
         assert val == pytest.approx(np.log(0.5), abs=1e-12)
 
     def test_symmetry_at_zero(self):
-        c0 = Cluster(np.array([0.0]), np.array([[1.0]]), np.array([[1.0]]))
-        val = conditional_loglik(c0, np.zeros(1), np.zeros(1))
+        data = one_cluster([0.0], [[1.0]], [[1.0]])
+        val = conditional_loglik(data, 0, np.zeros(1), np.zeros(1))
         assert val == pytest.approx(np.log(0.5), abs=1e-12)
 
     def test_two_obs_mixed(self):
         # y = (1, 0) with eta = (2, -1)
-        c = Cluster(
-            np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros((2, 1))
-        )
-        val = conditional_loglik(c, np.array([2.0, -1.0]), np.zeros(1))
+        data = one_cluster([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 1)))
+        val = conditional_loglik(data, 0, np.array([2.0, -1.0]), np.zeros(1))
         sigmoid = lambda t: 1.0 / (1.0 + np.exp(-t))
         expected = np.log(sigmoid(2.0)) + np.log(1.0 - sigmoid(-1.0))
         assert val == pytest.approx(expected, abs=1e-12)
         assert val == pytest.approx(-0.126928 - 0.313262, abs=1e-5)
 
     def test_overflow_safe(self):
-        c = Cluster(np.array([1.0, 0.0]), np.array([[1.0], [1.0]]), np.zeros((2, 1)))
-        val = conditional_loglik(c, np.array([1000.0]), np.zeros(1))
+        data = one_cluster([1.0, 0.0], [[1.0], [1.0]], np.zeros((2, 1)))
+        val = conditional_loglik(data, 0, np.array([1000.0]), np.zeros(1))
         assert np.isfinite(val)
         assert val == pytest.approx(-1000.0, rel=1e-9)
 
@@ -118,7 +119,7 @@ class TestConditionalLoglik:
         rng = np.random.default_rng(5)
         for _ in range(50):
             data = make_dataset(k=1, n_i=6, p=2, seed=rng.integers(1 << 30))
-            val = conditional_loglik(data.clusters[0], rng.normal(size=2), rng.normal(size=1))
+            val = conditional_loglik(data, 0, rng.normal(size=2), rng.normal(size=1))
             assert val <= 0.0
 
     def test_bernoulli_symmetry(self):
@@ -130,16 +131,34 @@ class TestConditionalLoglik:
             y = rng.integers(0, 2, n).astype(float)
             beta = rng.normal(size=2)
             u = rng.normal(size=1)
-            a = conditional_loglik(Cluster(y, X, Z), beta, u)
-            b = conditional_loglik(Cluster(1.0 - y, -X, -Z), beta, u)
+            a = conditional_loglik(one_cluster(y, X, Z), 0, beta, u)
+            b = conditional_loglik(one_cluster(1.0 - y, -X, -Z), 0, beta, u)
             assert a == pytest.approx(b, abs=1e-12)
 
+    def test_reads_only_the_rows_of_cluster_i(self):
+        # Each cluster's value is the Bernoulli sum over its own rows, at
+        # its own random effect.
+        data = make_dataset(k=3, n_i=4, p=2, seed=6)
+        beta = np.array([0.3, -0.8])
+        us = np.array([-1.0, 0.5, 2.0])
+        eta = data.X @ beta + data.Z[:, 0] * np.repeat(us, 4)
+        terms = data.y * eta - np.log1p(np.exp(eta))
+        for i in range(3):
+            val = conditional_loglik(data, i, beta, us[i : i + 1])
+            assert val == pytest.approx(terms[4 * i : 4 * i + 4].sum(), abs=1e-12)
+
     def test_dimension_errors(self):
-        c = Cluster(np.array([1.0]), np.array([[1.0]]), np.array([[1.0]]))
+        data = one_cluster([1.0], [[1.0]], [[1.0]])
         with pytest.raises(ValueError):
-            conditional_loglik(c, np.zeros(2), np.zeros(1))
+            conditional_loglik(data, 0, np.zeros(2), np.zeros(1))
         with pytest.raises(ValueError):
-            conditional_loglik(c, np.zeros(1), np.zeros(2))
+            conditional_loglik(data, 0, np.zeros(1), np.zeros(2))
+
+    def test_cluster_index_out_of_range(self):
+        data = make_dataset(k=3, n_i=4, p=2)
+        for i in (-1, 3):
+            with pytest.raises(IndexError):
+                conditional_loglik(data, i, np.zeros(2), np.zeros(1))
 
 
 class TestExpit:
@@ -160,29 +179,61 @@ class TestExpit:
 class TestDatasetInvariants:
     def test_rejects_non_binary_response(self):
         with pytest.raises(DataError):
-            Cluster(np.array([0.0, 2.0]), np.ones((2, 1)), np.ones((2, 1)))
-
-    def test_rejects_mismatched_widths(self):
-        a = Cluster(np.array([1.0]), np.ones((1, 2)), np.ones((1, 1)))
-        b = Cluster(np.array([1.0]), np.ones((1, 1)), np.ones((1, 1)))
-        with pytest.raises(DataError):
-            ClusteredDataset((a, b))
+            one_cluster(np.array([0.0, 2.0]), np.ones((2, 1)), np.ones((2, 1)))
 
     def test_rejects_rank_deficient_design(self):
         X = np.column_stack([np.ones(4), np.ones(4)])
         with pytest.raises(DataError):
-            ClusteredDataset((Cluster(np.ones(4), X, np.ones((4, 1))),))
+            one_cluster(np.ones(4), X, np.ones((4, 1)))
 
     def test_rejects_too_few_rows(self):
         with pytest.raises(DataError):
-            ClusteredDataset((Cluster(np.array([1.0]), np.ones((1, 2)), np.ones((1, 1))),))
+            one_cluster(np.array([1.0]), np.ones((1, 2)), np.ones((1, 1)))
+
+    def test_rejects_mismatched_rows(self):
+        with pytest.raises(DataError, match="row mismatch"):
+            ClusteredDataset(np.ones(4), np.ones((3, 1)), np.ones((4, 1)), [4])
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ([], "no clusters"),
+            ([0, 4], "at least one row"),
+            ([-1, 5], "at least one row"),
+            ([1.5, 2.5], "integers"),
+            ([2, 3], "sum to 5"),
+            ([1, 1], "sum to 2"),
+            ([[2, 2]], "1-dimensional"),
+        ],
+        ids=["empty", "zero", "negative", "non-integer", "sum-too-large", "sum-too-small", "two-dimensional"],
+    )
+    def test_rejects_bad_sizes(self, sizes, message):
+        x = np.array([-1.0, 1.0, -2.0, 2.0])
+        X = np.column_stack([np.ones(4), x])
+        with pytest.raises(DataError, match=message):
+            ClusteredDataset(np.array([0.0, 1.0, 1.0, 0.0]), X, np.ones((4, 1)), sizes)
 
     def test_stacked_views(self):
         data = make_dataset(k=3, n_i=4, p=2)
         assert data.X.shape == (12, 2)
         assert data.n == 12 and data.k == 3 and data.p == 2 and data.q == 1
         assert list(data.row_offsets) == [0, 4, 8, 12]
+        assert list(data.sizes) == [4, 4, 4]
+        assert list(data.row_cluster) == [0] * 4 + [1] * 4 + [2] * 4
+        assert not data.sizes.flags.writeable
         assert not data.X.flags.writeable
+
+    def test_with_responses_keeps_the_design(self):
+        data = make_dataset(k=3, n_i=4, p=2)
+        y = 1.0 - data.y
+        sim = data.with_responses(y)
+        assert np.array_equal(sim.y, y) and not sim.y.flags.writeable
+        assert np.array_equal(sim.X, data.X) and np.array_equal(sim.Z, data.Z)
+        assert np.array_equal(sim.sizes, data.sizes)
+        with pytest.raises(DataError):
+            data.with_responses(y[:-1])
+        with pytest.raises(DataError):
+            data.with_responses(2.0 * y)
 
     def test_theta_vector_round_trip(self):
         theta = Theta(np.array([1.0, -2.0]), np.array([0.3]))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import msplogit.optimize as optimize
 from msplogit.likelihood import LoglikEvaluator, gauss_hermite_rule
-from msplogit.model import Cluster, ClusteredDataset, DataError, Theta
+from msplogit.model import ClusteredDataset, DataError, Theta
 from msplogit.optimize import (
     FitError,
     FitOptions,
@@ -19,7 +19,7 @@ from msplogit.optimize import (
 )
 from msplogit.penalties import composite_penalty
 
-from conftest import make_dataset, penalty_without_gradient, separation_dataset
+from conftest import make_dataset, penalty_without_gradient, separation_dataset, stack_clusters
 
 
 class TestFitOptions:
@@ -371,9 +371,9 @@ def degenerate_q1_design(draw):
             y = np.full(n_i, float(i % 2))
         else:
             y = rng.integers(0, 2, n_i).astype(float)
-        clusters.append(Cluster(y, X, np.ones((n_i, 1))))
+        clusters.append((y, X, np.ones((n_i, 1))))
     try:
-        return ClusteredDataset(tuple(clusters))
+        return stack_clusters(clusters)
     except DataError:
         assume(False)
 
@@ -402,9 +402,9 @@ def degenerate_q2_design(draw):
             y = np.full(n_i, float(i % 2))
         else:
             y = rng.integers(0, 2, n_i).astype(float)
-        clusters.append(Cluster(y, X, Z))
+        clusters.append((y, X, Z))
     try:
-        return ClusteredDataset(tuple(clusters))
+        return stack_clusters(clusters)
     except DataError:
         assume(False)
 
@@ -435,12 +435,11 @@ class TestFitContract:
         # along the collinear direction, and a probe of the polish
         # Hessian meets the penalty's -inf limit.  The polish stops
         # there instead of stepping to a NaN point.
-        X1 = np.array([[1.0, 0.12573022, 0.12573086], [1.0, -0.13210486, -0.13210476]])
-        X2 = np.array([[1.0, 0.36159505, 0.361596], [1.0, 1.30400005, 1.30399934]])
-        data = ClusteredDataset((
-            Cluster(np.array([0.0, 1.0]), X1, np.ones((2, 1))),
-            Cluster(np.array([1.0, 1.0]), X2, np.ones((2, 1))),
-        ))
+        X = np.array([
+            [1.0, 0.12573022, 0.12573086], [1.0, -0.13210486, -0.13210476],
+            [1.0, 0.36159505, 0.361596], [1.0, 1.30400005, 1.30399934],
+        ])
+        data = ClusteredDataset(np.array([0.0, 1.0, 1.0, 1.0]), X, np.ones((4, 1)), [2, 2])
         result = fit(data, FitOptions(method="mspl", quadrature=5))
         assert np.isfinite(result.theta.as_vector()).all()
         assert np.isfinite(result.grad_norm)

@@ -4,8 +4,9 @@ from scipy.special import expit
 
 import msplogit.inference as inference
 import msplogit.optimize as optimize
+import msplogit.simulate as simulate
 from msplogit.likelihood import ModeFindingError
-from msplogit.model import Cluster, ClusteredDataset, Theta
+from msplogit.model import ClusteredDataset, Theta
 from msplogit.optimize import FitOptions
 from msplogit.simulate import (
     DISCARD_REASONS,
@@ -33,11 +34,7 @@ class TestSimulateResponses:
 
     def test_mean_concentration(self):
         rows, k = 1_000_000, 1000
-        clusters = tuple(
-            Cluster(np.zeros(rows // k), np.ones((rows // k, 1)), np.ones((rows // k, 1)))
-            for _ in range(k)
-        )
-        template = ClusteredDataset(clusters)
+        template = ClusteredDataset(np.zeros(rows), np.ones((rows, 1)), np.ones((rows, 1)), [rows // k] * k)
         sim = simulate_responses(template, Theta(np.zeros(1), np.array([-10.0])), _rng(7))
         assert abs(sim.y.mean() - 0.5) < 0.002
 
@@ -53,8 +50,7 @@ class TestSimulateResponses:
         oracle_corr = np.corrcoef(y1, y2)[0, 1]
 
         k = 200_000
-        clusters = tuple(Cluster(np.zeros(2), np.ones((2, 1)), np.ones((2, 1))) for _ in range(k))
-        template = ClusteredDataset(clusters)
+        template = ClusteredDataset(np.zeros(2 * k), np.ones((2 * k, 1)), np.ones((2 * k, 1)), [2] * k)
         sim = simulate_responses(template, Theta(np.zeros(1), np.array([np.log(2.0)])), _rng(9))
         pairs = sim.y.reshape(k, 2)
         sim_corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
@@ -91,13 +87,14 @@ class TestPercentileTable:
         assert table.shape == (7,)
 
 
-def small_design(R=3, seed=11, methods=None):
+def small_design(R=3, seed=11, methods=None, labels=None):
     template = make_dataset(k=5, n_i=6, p=2, seed=1)
     truth = Theta(np.array([0.4, -0.8]), np.array([-0.2]))
     if methods is None:
         methods = (FitOptions(method="mspl", quadrature=20),)
     return SimulationDesign(
-        template=template, theta_true=truth, replications=R, seed=seed, methods=methods
+        template=template, theta_true=truth, replications=R, seed=seed, methods=methods,
+        labels=labels,
     )
 
 
@@ -208,6 +205,47 @@ class TestRunStudy:
         [record] = run_replication(small_design(R=1), 0)
         assert record.reasons == {"exception"}
         assert np.isnan(record.estimates).all()
+
+    def test_pool_has_at_most_one_worker_per_replication(self, monkeypatch):
+        # Under fork every worker starts at the first submit, so workers
+        # beyond the replication count would only be idle interpreters.
+        opened = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("MSPLOGIT_THREADS", "64")
+        design = small_design(R=3)
+        pooled = run_study(design)
+        assert opened == [3]
+        run_study(design, workers=2)
+        assert opened == [3, 2]
+        serial = run_study(design, workers=1)
+        run_study(small_design(R=1), workers=8)
+        assert opened == [3, 2]  # one worker, or one replication: no pool
+        assert np.array_equal(pooled.methods["mspl"].estimates, serial.methods["mspl"].estimates)
+
+    def test_duplicate_labels_rejected(self):
+        # Summaries are keyed by label, so a repeated label would silently
+        # drop a method's results.
+        with pytest.raises(ValueError, match="distinct"):
+            small_design(
+                methods=(FitOptions(method="mspl"), FitOptions(method="ml")),
+                labels=("mspl", "mspl"),
+            )
+        design = small_design(methods=(FitOptions(method="mspl"), FitOptions(method="mspl")))
+        assert design.labels == ("mspl", "mspl1")
 
     def test_design_validation(self):
         with pytest.raises(ValueError):
