@@ -14,7 +14,6 @@ from .model import (
     ClusteredDataset,
     DataError,
     Theta,
-    conditional_loglik,
     psi_to_sigma,
     sigma_to_psi,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "ClusteredDataset",
     "DataError",
     "Theta",
-    "conditional_loglik",
     "psi_to_sigma",
     "sigma_to_psi",
     "LoglikEvaluator",

@@ -212,7 +212,6 @@ def format_fit_document(
     lines.append(f"penalized = {_fmt(result.penalized)}")
     lines.append(f"converged = {_fmt(result.converged)}")
     lines.append(f"iterations = {result.iterations}")
-    lines.append(f"polish_steps = {result.polish_steps}")
     lines.append(f"evaluations = {result.evaluations}")
     lines.append(f"grad_norm = {_fmt(result.grad_norm)}")
     return "\n".join(lines) + "\n"

@@ -53,6 +53,8 @@ class ContrastMap:
         C = np.array(self.C, dtype=float)
         if C.ndim != 2 or C.shape[0] != C.shape[1]:
             raise ValueError(f"contrast matrix must be square, got shape {C.shape}")
+        if not np.isfinite(C).all():
+            raise ValueError("contrast matrix has non-finite entries")
         # Rank by SVD against machine epsilon: a change of units such as
         # 1e-4 * I is invertible however small its determinant.
         if np.linalg.matrix_rank(C) < C.shape[0]:

@@ -29,8 +29,6 @@ __all__ = [
     "chol_to_psi",
     "psi_to_sigma",
     "sigma_to_psi",
-    "validate_covariance",
-    "conditional_loglik",
     "expit",
     "psi_names",
 ]
@@ -269,47 +267,6 @@ def sigma_to_psi(sigma: np.ndarray) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     L = np.linalg.cholesky(sigma)
     return chol_to_psi(L)
-
-
-def validate_covariance(sigma: np.ndarray, atol: float = 0.0) -> None:
-    """Check the non-degeneracy invariants of a covariance matrix.
-
-    Symmetric, positive definite, finite, and all implied correlations
-    strictly inside (-1, 1).  Raises ``ValueError`` otherwise.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.isfinite(sigma).all():
-        raise ValueError("covariance has non-finite entries")
-    if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(sigma).max())):
-        raise ValueError("covariance is not symmetric")
-    eigmin = float(np.linalg.eigvalsh(sigma).min())
-    if eigmin <= atol:
-        raise ValueError(f"covariance is not positive definite (min eigenvalue {eigmin})")
-    d = np.sqrt(np.diag(sigma))
-    corr = sigma / np.outer(d, d)
-    off = corr[~np.eye(sigma.shape[0], dtype=bool)]
-    if off.size and np.abs(off).max() >= 1.0:
-        raise ValueError("covariance implies a correlation of magnitude one")
-
-
-def conditional_loglik(data: ClusteredDataset, i: int, beta: np.ndarray, u: np.ndarray) -> float:
-    """Bernoulli log-likelihood of cluster i given its random effect u.
-
-    Evaluates sum_j [y_j eta_j - log(1 + exp(eta_j))] over the cluster's
-    rows with eta = X @ beta + Z @ u, using log1p-exp so that linear
-    predictors with magnitude up to ~1e3 do not overflow.
-    """
-    beta = np.asarray(beta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if not 0 <= i < data.k:
-        raise IndexError(f"cluster {i} out of range for k={data.k}")
-    if beta.shape != (data.p,):
-        raise ValueError(f"beta must have length {data.p}, got {beta.shape}")
-    if u.shape != (data.q,):
-        raise ValueError(f"u must have length {data.q}, got {u.shape}")
-    rows = slice(data.row_offsets[i], data.row_offsets[i + 1])
-    eta = data.X[rows] @ beta + data.Z[rows] @ u
-    return float(np.sum(data.y[rows] * eta - np.logaddexp(0.0, eta)))
 
 
 def expit(eta):

@@ -7,13 +7,14 @@ likelihood's comes from the same mode solve as its value
 Maximization is BFGS with a strong-Wolfe line search, given the
 objective and its gradient in one call per point.  Both are the
 package's own (``minimize``), after Nocedal & Wright (2006), Numerical
-Optimization, algorithms 3.5, 3.6 and 6.1.  Where the line search
-stalls before the gradient tolerance is met, Newton steps on the
-central-difference Jacobian of the gradient polish the estimate.
+Optimization, algorithms 3.5, 3.6 and 6.1.  Near the optimum, where
+value changes sink into the noise of the warm-started mode solves, the
+line search accepts steps by Hager & Zhang's approximate Wolfe
+conditions, so BFGS alone reaches the gradient tolerance.
 
-The gradient tolerance ``GRAD_TOL``, the iteration cap ``MAX_ITER`` and
-the finite-difference step ``FD_STEP_SCALE`` are constants of this
-module, not fit options.
+The gradient tolerance ``GRAD_TOL``, the iteration cap ``MAX_ITER``, the
+approximate-Wolfe tolerance ``WOLFE_EPS`` and the finite-difference step
+``FD_STEP_SCALE`` are constants of this module, not fit options.
 
 The log-Cholesky encoding of the covariance makes the parameter space
 all of R^d, so the optimization is unconstrained.
@@ -56,12 +57,15 @@ EPS = float(np.finfo(float).eps)
 FD_STEP_SCALE = EPS ** (1.0 / 3.0)
 
 START_NEWTON_STEPS = 25
-POLISH_STEPS = 8
 
 # Strong-Wolfe line search: sufficient-decrease and curvature constants,
-# and the trials allowed while bracketing and while zooming.
+# the relative value change below which a step is judged on its slope
+# alone (approximate Wolfe; far above the 1e-13 to 1e-11 value noise of
+# warm-started mode solves), and the trials allowed while bracketing and
+# while zooming.
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
+WOLFE_EPS = 1e-10
 BRACKET_STEPS = 10
 ZOOM_STEPS = 10
 
@@ -113,6 +117,8 @@ class FitOptions:
                 f"quadrature size must be an integer in [1, {MAX_QUADRATURE}], "
                 f"got {self.quadrature!r}"
             )
+        if self.start is not None and not isinstance(self.start, Theta):
+            raise ValueError(f"start must be a Theta or None, got {type(self.start).__name__}")
         for name in ("beta_max", "psi_max", "se_max"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -139,11 +145,11 @@ class FitResult:
     ``loglik`` is the unpenalized approximate log-likelihood at the
     estimate; ``penalized`` is the maximized objective (identical to
     ``loglik`` for ML).  ``iterations`` counts BFGS iterations and
-    ``polish_steps`` the Newton steps after them; ``evaluations`` counts
-    the fit's calls of ``LoglikEvaluator.value_and_grad``.  ``se`` and
-    ``se_available`` are set once the inference module attaches standard
-    errors.  ``objective_trace`` records the objective at each BFGS
-    iterate.
+    ``evaluations`` the fit's calls of ``LoglikEvaluator.value_and_grad``.
+    ``se`` and ``se_available`` are set once the inference module
+    attaches standard errors.  ``objective_trace`` records the objective
+    at each BFGS iterate; an approximate-Wolfe step (``_wolfe_step``) can
+    lower it by up to ``WOLFE_EPS`` relative.
 
     The flags are derived from the estimate, its SEs and the thresholds
     in ``options``, one entry per parameter: ``estimate_flags`` marks
@@ -157,7 +163,6 @@ class FitResult:
     penalized: float
     converged: bool
     iterations: int
-    polish_steps: int
     evaluations: int
     grad_norm: float
     options: FitOptions
@@ -314,9 +319,11 @@ def _zoom(phi, f0, slope0, x, t):
     bracket beyond a minimizer, each (step, value, slope).  Trials come
     from ``_next_trial``, or bisect where it gives none inside the
     bracket or two trials left it wider than 2/3.  A non-finite value
-    counts as too long.  Gives up once no step in the bracket can
-    change the value beyond rounding.
+    counts as too long.  A trial ends the search by the strong Wolfe
+    conditions or by the approximate ones of ``_wolfe_step``.  Gives up
+    once no step in the bracket can change the value beyond rounding.
     """
+    f_flat = f0 + WOLFE_EPS * abs(f0)
     y, widths = x, [math.inf, math.inf]
     for _ in range(ZOOM_STEPS):
         overshot = not t[1] <= f0 + WOLFE_C1 * t[0] * slope0 or not t[1] < x[1]
@@ -333,13 +340,21 @@ def _zoom(phi, f0, slope0, x, t):
             step = 0.5 * (left + right)
         f, g, d = phi(step)
         t = (step, f, d)
-        if f <= f0 + WOLFE_C1 * step * slope0 and f < x[1] and abs(d) <= -WOLFE_C2 * slope0:
+        armijo = f <= f0 + WOLFE_C1 * step * slope0 and f < x[1]
+        if abs(d) <= -WOLFE_C2 * slope0 and (armijo or f <= f_flat):
             return step, f, g
     return None
 
 
 def _wolfe_step(fun, x, direction, f0, g0, f_prev):
     """Algorithm 3.5: a step along ``direction`` meeting the strong Wolfe conditions.
+
+    A step that meets the curvature condition |phi'(a)| <= WOLFE_C2 |phi'(0)|
+    is also accepted without sufficient decrease when its value is within
+    WOLFE_EPS |f0| of f0: the approximate Wolfe conditions of Hager &
+    Zhang (2005), SIAM J. Optim. 16(1).  Near the optimum the decrease
+    the Armijo test asks for falls below the noise in the objective's
+    value, while the slope still tells a good step from a bad one.
 
     The first trial step is min(1, 2.02 (f0 - f_prev) / slope), which
     repeats the previous iteration's decrease.  A step too short is
@@ -350,6 +365,7 @@ def _wolfe_step(fun, x, direction, f0, g0, f_prev):
     slope0 = float(g0 @ direction)
     if not slope0 < 0.0:
         return None
+    f_flat = f0 + WOLFE_EPS * abs(f0)
 
     def phi(alpha):
         f, g = fun(x + alpha * direction)
@@ -360,7 +376,7 @@ def _wolfe_step(fun, x, direction, f0, g0, f_prev):
     for i in range(BRACKET_STEPS):
         f, g, d = phi(alpha)
         armijo = f <= f0 + WOLFE_C1 * alpha * slope0 and (i == 0 or f < old[1])
-        if armijo and abs(d) <= -WOLFE_C2 * slope0:
+        if abs(d) <= -WOLFE_C2 * slope0 and (armijo or f <= f_flat):
             return alpha, f, g
         if not armijo or d >= 0.0:
             return _zoom(phi, f0, slope0, old, (alpha, f, d))
@@ -456,44 +472,6 @@ def _start_theta(data: ClusteredDataset, options: FitOptions) -> Theta:
     return Theta(beta0, np.zeros(n_psi(data.q)))
 
 
-def _newton_polish(objective_and_grad, x, value, grad):
-    """Newton steps on the Jacobian of the exact gradient.
-
-    Accepts a step only when it reduces the gradient norm; leaves the
-    point untouched when the Hessian is unusable (for example on the
-    flat ridge of an unpenalized fit with separated data).  Returns the
-    point, its objective value and gradient, and the steps taken.
-    """
-    grad_norm = float(np.linalg.norm(grad))
-    steps = 0
-    for _ in range(POLISH_STEPS):
-        if grad_norm <= GRAD_TOL:
-            break
-        H = hessian_fd(lambda v: objective_and_grad(v)[1], x)
-        try:
-            delta = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError:
-            break
-        if not np.isfinite(delta).all():
-            # A probe of the Hessian hit the -inf limit of the penalty.
-            break
-        improved = False
-        t = 1.0
-        for _ in range(6):
-            x_new = x - t * delta
-            value_new, grad_new = objective_and_grad(x_new)
-            if float(np.linalg.norm(grad_new)) < grad_norm:
-                x, value, grad = x_new, value_new, grad_new
-                grad_norm = float(np.linalg.norm(grad))
-                improved = True
-                break
-            t /= 4.0
-        steps += 1
-        if not improved:
-            break
-    return x, value, grad, steps
-
-
 def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult:
     """Maximize the (penalized) approximate log-likelihood.
 
@@ -520,13 +498,7 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             x, value, grad, iterations = minimize(negated, x0, lambda _, f: trace.append(-f))
-            # Near the optimum the line search stalls once objective gains
-            # shrink below float rounding; a Newton step still reduces the
-            # gradient.
-            x_best, value, grad, polish_steps = _newton_polish(
-                objective_and_grad, x, -value, -grad
-            )
-        theta_hat = Theta.from_vector(x_best, p)
+        theta_hat = Theta.from_vector(x, p)
         loglik_hat = evaluator.loglik(theta_hat)
     except (ModeFindingError, SingularInformationError) as err:
         raise FitError(f"objective evaluation failed: {err}") from err
@@ -535,10 +507,9 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
     return FitResult(
         theta=theta_hat,
         loglik=float(loglik_hat),
-        penalized=float(value),
+        penalized=-float(value),
         converged=bool(grad_norm <= GRAD_TOL),
         iterations=iterations,
-        polish_steps=polish_steps,
         evaluations=evaluations,
         grad_norm=grad_norm,
         options=options,

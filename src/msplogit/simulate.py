@@ -22,6 +22,7 @@ platforms.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -65,6 +66,15 @@ def env_threads() -> int:
         return 1
 
 
+def _require_integer(name: str, value, low: int) -> None:
+    try:
+        valid = operator.index(value) >= low
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimulationDesign:
     """A Monte-Carlo study: design template, truth, size, seed, methods."""
@@ -77,8 +87,8 @@ class SimulationDesign:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
+        _require_integer("replications", self.replications, 1)
+        _require_integer("seed", self.seed, 0)
         if not self.methods:
             raise ValueError("need at least one method")
         object.__setattr__(self, "methods", tuple(self.methods))

@@ -48,6 +48,12 @@ class TestContrastMap:
         with pytest.raises(ValueError):
             ContrastMap(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # The SVD of the rank check does not converge on a NaN entry.
+        with pytest.raises(ValueError, match="non-finite"):
+            ContrastMap(np.array([[bad, 0.0], [0.0, 1.0]]))
+
 
 class TestWaldCi:
     def test_standard_normal_quantile(self):

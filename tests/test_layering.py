@@ -6,19 +6,23 @@ a sibling is in that sibling's ``__all__``, and every ``__all__`` entry
 exists.  ``datasets`` does not import ``cli``: the command line sits
 above the data layer.  No module imports scipy, which is a test
 dependency only: importing it would cost every process more than
-numpy does.
+numpy does.  Every name the benchmark's tracer wraps exists, so a
+rename shows here rather than as a crashed benchmark run.
 """
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import msplogit
+import msplogit.cli
 
 PACKAGE_DIR = Path(msplogit.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _imports(path):
@@ -153,3 +157,13 @@ def test_importing_the_package_loads_no_scipy():
     code = "import sys, msplogit, msplogit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_benchmark_trace_targets_exist(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look their module up
+    spec.loader.exec_module(tracer)
+    targets = tracer.program_targets(msplogit)
+    missing = [f"{t.owner.__name__}.{t.attr}" for t in targets if not hasattr(t.owner, t.attr)]
+    assert targets and not missing, missing

@@ -10,11 +10,9 @@ from msplogit.model import (
     ClusteredDataset,
     DataError,
     Theta,
-    conditional_loglik,
     expit,
     psi_to_sigma,
     sigma_to_psi,
-    validate_covariance,
 )
 
 from conftest import make_dataset
@@ -76,89 +74,14 @@ class TestPsiSigma:
     def test_non_degenerate_for_all_finite_psi(self, vals):
         sigma = psi_to_sigma(np.array(vals), 2)
         assert np.linalg.eigvalsh(sigma).min() > 0
+        assert np.isfinite(sigma).all()
+        assert np.array_equal(sigma, sigma.T)
         corr = sigma[0, 1] / np.sqrt(sigma[0, 0] * sigma[1, 1])
         assert abs(corr) < 1.0
-        validate_covariance(sigma)
-
-    def test_validate_covariance_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            validate_covariance(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def one_cluster(y, X, Z):
     return ClusteredDataset(y, X, Z, [len(y)])
-
-
-class TestConditionalLoglik:
-    def test_single_obs_eta_zero(self):
-        data = one_cluster([1.0], [[1.0]], [[1.0]])
-        val = conditional_loglik(data, 0, np.zeros(1), np.zeros(1))
-        assert val == pytest.approx(np.log(0.5), abs=1e-12)
-
-    def test_symmetry_at_zero(self):
-        data = one_cluster([0.0], [[1.0]], [[1.0]])
-        val = conditional_loglik(data, 0, np.zeros(1), np.zeros(1))
-        assert val == pytest.approx(np.log(0.5), abs=1e-12)
-
-    def test_two_obs_mixed(self):
-        # y = (1, 0) with eta = (2, -1)
-        data = one_cluster([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 1)))
-        val = conditional_loglik(data, 0, np.array([2.0, -1.0]), np.zeros(1))
-        sigmoid = lambda t: 1.0 / (1.0 + np.exp(-t))
-        expected = np.log(sigmoid(2.0)) + np.log(1.0 - sigmoid(-1.0))
-        assert val == pytest.approx(expected, abs=1e-12)
-        assert val == pytest.approx(-0.126928 - 0.313262, abs=1e-5)
-
-    def test_overflow_safe(self):
-        data = one_cluster([1.0, 0.0], [[1.0], [1.0]], np.zeros((2, 1)))
-        val = conditional_loglik(data, 0, np.array([1000.0]), np.zeros(1))
-        assert np.isfinite(val)
-        assert val == pytest.approx(-1000.0, rel=1e-9)
-
-    def test_never_positive(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            data = make_dataset(k=1, n_i=6, p=2, seed=rng.integers(1 << 30))
-            val = conditional_loglik(data, 0, rng.normal(size=2), rng.normal(size=1))
-            assert val <= 0.0
-
-    def test_bernoulli_symmetry(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            n = 5
-            X = rng.normal(size=(n, 2))
-            Z = rng.normal(size=(n, 1))
-            y = rng.integers(0, 2, n).astype(float)
-            beta = rng.normal(size=2)
-            u = rng.normal(size=1)
-            a = conditional_loglik(one_cluster(y, X, Z), 0, beta, u)
-            b = conditional_loglik(one_cluster(1.0 - y, -X, -Z), 0, beta, u)
-            assert a == pytest.approx(b, abs=1e-12)
-
-    def test_reads_only_the_rows_of_cluster_i(self):
-        # Each cluster's value is the Bernoulli sum over its own rows, at
-        # its own random effect.
-        data = make_dataset(k=3, n_i=4, p=2, seed=6)
-        beta = np.array([0.3, -0.8])
-        us = np.array([-1.0, 0.5, 2.0])
-        eta = data.X @ beta + data.Z[:, 0] * np.repeat(us, 4)
-        terms = data.y * eta - np.log1p(np.exp(eta))
-        for i in range(3):
-            val = conditional_loglik(data, i, beta, us[i : i + 1])
-            assert val == pytest.approx(terms[4 * i : 4 * i + 4].sum(), abs=1e-12)
-
-    def test_dimension_errors(self):
-        data = one_cluster([1.0], [[1.0]], [[1.0]])
-        with pytest.raises(ValueError):
-            conditional_loglik(data, 0, np.zeros(2), np.zeros(1))
-        with pytest.raises(ValueError):
-            conditional_loglik(data, 0, np.zeros(1), np.zeros(2))
-
-    def test_cluster_index_out_of_range(self):
-        data = make_dataset(k=3, n_i=4, p=2)
-        for i in (-1, 3):
-            with pytest.raises(IndexError):
-                conditional_loglik(data, i, np.zeros(2), np.zeros(1))
 
 
 class TestExpit:

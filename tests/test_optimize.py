@@ -42,6 +42,14 @@ class TestFitOptions:
         assert FitOptions(quadrature=np.int64(20)).quadrature == 20
         assert FitOptions(beta_max=np.inf, psi_max=np.inf, se_max=np.inf).se_max == np.inf
 
+    def test_start_must_be_a_theta(self):
+        # Checked here, or a bare vector fails later, inside fit(), on start.p.
+        for bad in (np.zeros(3), [0.0, 0.0, 0.0], 0.0):
+            with pytest.raises(ValueError, match="start"):
+                FitOptions(start=bad)
+        start = Theta(np.zeros(2), np.zeros(1))
+        assert FitOptions(start=start).start is start
+
     def test_approx_resolution(self):
         assert FitOptions().resolve_approx(1) == "agq"
         assert FitOptions().resolve_approx(2) == "laplace"
@@ -160,6 +168,22 @@ class TestMinimize:
             assert g @ step < 0.0
             assert f_new <= f + optimize.WOLFE_C1 * (g @ step)
             assert abs(g_new @ step) <= optimize.WOLFE_C2 * abs(g @ step)
+
+    def test_value_noise_does_not_stall_the_line_search(self):
+        # Condition number 1e4 and value noise of 1e-12 at a value of 30,
+        # as the warm-started mode solves give: near the minimum the Armijo
+        # decrease of a step is smaller than the noise, and BFGS finishes
+        # only by accepting steps on their slope.
+        Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(5, 5)))
+        A, c = Q @ np.diag(np.logspace(0, 4, 5)) @ Q.T, np.full(5, 3.0)
+
+        def noisy(x):
+            r = x - c
+            return 30.0 + 0.5 * r @ A @ r + 1e-12 * np.sin(1e7 * x.sum() + 1.0), A @ r
+
+        x, value, grad, nit = optimize.minimize(noisy, np.zeros(5))
+        assert np.linalg.norm(grad) <= optimize.GRAD_TOL
+        assert np.abs(x - c).max() < 1e-5
 
     def test_infinite_values_are_backed_off(self):
         # +inf with a NaN gradient beyond radius 0.5, as the penalized
@@ -430,11 +454,10 @@ class TestFitContract:
         assert isinstance(result, FitResult)
         assert result.estimate_flags.shape == (data.p + 3,)
 
-    def test_non_finite_polish_hessian_ends_the_polish(self):
+    def test_near_collinear_design_ends_finite(self):
         # Near-collinear fixed design on 4 rows: the MSPL fit runs off
-        # along the collinear direction, and a probe of the polish
-        # Hessian meets the penalty's -inf limit.  The polish stops
-        # there instead of stepping to a NaN point.
+        # along the collinear direction, and still ends at a finite
+        # estimate with a finite gradient norm.
         X = np.array([
             [1.0, 0.12573022, 0.12573086], [1.0, -0.13210486, -0.13210476],
             [1.0, 0.36159505, 0.361596], [1.0, 1.30400005, 1.30399934],

@@ -247,9 +247,21 @@ class TestRunStudy:
         design = small_design(methods=(FitOptions(method="mspl"), FitOptions(method="mspl")))
         assert design.labels == ("mspl", "mspl1")
 
+    def test_replications_must_be_a_positive_integer(self):
+        # Checked here, or 2.5 fails later, in range() inside run_study.
+        for bad in (0, -1, 2.5, "3", None):
+            with pytest.raises(ValueError, match="replications"):
+                small_design(R=bad)
+        assert small_design(R=np.int64(2)).replications == 2
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        # Checked here, or -1 fails later, in SeedSequence at the first draw.
+        for bad in (-1, 1.0, "7", None):
+            with pytest.raises(ValueError, match="seed"):
+                small_design(seed=bad)
+        assert small_design(seed=0).seed == 0
+
     def test_design_validation(self):
-        with pytest.raises(ValueError):
-            small_design(R=0)
         template = make_dataset(k=5, n_i=6, p=2, seed=1)
         with pytest.raises(ValueError):
             SimulationDesign(
