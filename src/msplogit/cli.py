@@ -272,10 +272,6 @@ def parse_result(text: str) -> dict:
     return sections
 
 
-def parse_float_list(value: str) -> list[float]:
-    return [float(v) for v in value.split(",") if v != ""]
-
-
 # ---------------------------------------------------------------------------
 # Run driver
 # ---------------------------------------------------------------------------

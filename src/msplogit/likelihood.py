@@ -27,7 +27,8 @@ Two approximations are provided:
 
   (the (2 pi)^{q/2} from the Laplace integral cancels the
   (2 pi)^{-q/2} normalization exactly, which is why one-node adaptive
-  quadrature coincides with the Laplace value when q = 1).
+  quadrature coincides with the Laplace value when q = 1, and the
+  Laplace value at q = 1 is computed as that one-node rule).
 
 Internally both approximations are evaluated in the standardized scale
 u = L v (so the Gaussian exponent is -||v||^2/2 and the curvature is
@@ -65,7 +66,8 @@ standardized scale and H its negative Hessian at the mode v_hat,
 
   where pi_m is node m's share of the cluster's quadrature sum and s =
   min(sigma, 1) the integration scale.  The Laplace value at q = 1 is
-  the one-node case (x = 0, pi = 1), so both share one routine.
+  the one-node case (x = 0, pi = 1): it runs through this routine with
+  the one-node rule.
 """
 
 from __future__ import annotations
@@ -223,14 +225,16 @@ def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
         eta = xb + sz * v_vec[idx]
         return _segsum(y * eta - np.logaddexp(0.0, eta), offs) - 0.5 * ratio * v_vec**2
 
+    def score_curvature(v_vec):
+        mu = expit(xb + sz * v_vec[idx])
+        grad = _segsum(sz * (y - mu), offs) - ratio * v_vec
+        hess = _segsum(sz * sz * mu * (1.0 - mu), offs) + ratio
+        return grad, hess
+
     v, g = _warm_start(g_all, v0, np.zeros(data.k))
     lam = np.zeros(data.k)
-    grad = None
     for _ in range(MODE_MAX_ITER):
-        eta = xb + sz * v[idx]
-        mu = expit(eta)
-        grad = _segsum(sz * (y - mu), offs) - ratio * v
-        hess = _segsum(sz * sz * mu * (1.0 - mu), offs) + ratio
+        grad, hess = score_curvature(v)
         if np.abs(grad).max() < MODE_GRAD_TOL_V:
             return v, g, hess
         pending = np.ones(data.k, dtype=bool)
@@ -251,10 +255,8 @@ def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
         else:
             break  # some cluster is stuck at machine precision
         v, g = v_new, g_new
-    eta = xb + sz * v[idx]
-    mu = expit(eta)
-    grad = _segsum(sz * (y - mu), offs) - ratio * v
-    hess = _segsum(sz * sz * mu * (1.0 - mu), offs) + ratio
+    else:
+        grad, hess = score_curvature(v)
     if np.abs(grad).max() < MODE_GRAD_ESCAPE:
         return v, g, hess
     raise ModeFindingError(
@@ -339,9 +341,9 @@ def _modes_general(data: ClusteredDataset, xb: np.ndarray, A: np.ndarray, v0=Non
 def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=False):
     """Per-cluster log masses for q = 1, and with ``grad`` their summed gradient.
 
-    ``rule`` is the adaptive quadrature rule, or None for the Laplace
-    value g(t_hat) - 1/2 log hess, which is the one-node rule at the
-    mode.  Returns (logprobs, t_hat, gradient or None).
+    ``rule`` is the adaptive quadrature rule.  The Laplace value
+    g(t_hat) - 1/2 log hess is computed as the one-node rule, whose only
+    node sits at the mode.  Returns (logprobs, t_hat, gradient or None).
     """
     psi = float(theta.psi[0])
     sigma = float(np.exp(psi))
@@ -358,26 +360,21 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     y = data.y
     sz = s * data.Z[:, 0]
     base = xb + sz * t[idx]
-    mu = expit(base)
-    if rule is None:
-        logprobs = g_mode + log_tau + log_s_over_sigma
-        x, nodes, mu_nodes, post = np.zeros(1), t[:, None], mu[:, None], np.ones((data.k, 1))
-    else:
-        x = rule.nodes
-        logw = np.log(rule.weights)
-        scale = sz * (np.sqrt(2.0) * tau)[idx]
-        eta = base[:, None] + scale[:, None] * x[None, :]
-        softplus, mu_nodes = _softplus_logistic(eta)
-        cond = _segsum(y[:, None] * eta - softplus, offs)
-        nodes = t[:, None] + (np.sqrt(2.0) * tau)[:, None] * x[None, :]
-        g_nodes = cond - 0.5 * ratio * nodes**2
-        log_terms = logw[None, :] + x[None, :] ** 2 + (g_nodes - g_mode[:, None])
-        peak = log_terms.max(axis=1)
-        terms = np.exp(log_terms - peak[:, None])
-        total = terms.sum(axis=1)
-        log_int_rel = peak + np.log(total)
-        logprobs = g_mode + log_tau + log_int_rel + log_s_over_sigma - 0.5 * np.log(np.pi)
-        post = terms / total[:, None]
+    x = rule.nodes
+    logw = np.log(rule.weights)
+    scale = sz * (np.sqrt(2.0) * tau)[idx]
+    eta = base[:, None] + scale[:, None] * x[None, :]
+    softplus, mu_nodes = _softplus_logistic(eta)
+    cond = _segsum(y[:, None] * eta - softplus, offs)
+    nodes = t[:, None] + (np.sqrt(2.0) * tau)[:, None] * x[None, :]
+    g_nodes = cond - 0.5 * ratio * nodes**2
+    log_terms = logw[None, :] + x[None, :] ** 2 + (g_nodes - g_mode[:, None])
+    peak = log_terms.max(axis=1)
+    terms = np.exp(log_terms - peak[:, None])
+    total = terms.sum(axis=1)
+    log_int_rel = peak + np.log(total)
+    logprobs = g_mode + log_tau + log_int_rel + log_s_over_sigma - 0.5 * np.log(np.pi)
+    post = terms / total[:, None]
     if not grad:
         return logprobs, t, None
 
@@ -385,6 +382,7 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     # the mode's derivative by the implicit-function theorem, and that
     # of log tau = -1/2 log hess.
     p = data.p
+    mu = expit(base)
     w = mu * (1.0 - mu)
     E = np.empty((data.n, p + 1))
     E[:, :p] = data.X
@@ -472,6 +470,8 @@ class LoglikEvaluator:
 
     ``approx`` is "agq" (q = 1 only, with its quadrature ``rule``) or
     "laplace"; ``FitOptions.evaluator`` chooses both from fit options.
+    At q = 1 the Laplace value is computed as the one-node rule, which
+    the evaluator then holds as its ``rule``.
     """
 
     def __init__(
@@ -486,6 +486,8 @@ class LoglikEvaluator:
             raise ValueError(f"adaptive quadrature supports q = 1 only, got q = {data.q}")
         if approx == "agq" and rule is None:
             raise ValueError("adaptive quadrature needs a quadrature rule")
+        if approx == "laplace":
+            rule = gauss_hermite_rule(1) if data.q == 1 else None
         self.data = data
         self.approx = approx
         self.rule = rule
@@ -493,10 +495,10 @@ class LoglikEvaluator:
 
     def _evaluate(self, theta: Theta, grad: bool):
         if self.data.q == 1:
-            rule = self.rule if self.approx == "agq" else None
-            logprobs, self._warm, gradient = _q1_logprobs(self.data, theta, rule, self._warm, grad)
+            out = _q1_logprobs(self.data, theta, self.rule, self._warm, grad)
         else:
-            logprobs, self._warm, gradient = _laplace_general(self.data, theta, self._warm, grad)
+            out = _laplace_general(self.data, theta, self._warm, grad)
+        logprobs, self._warm, gradient = out
         return logprobs, gradient
 
     def cluster_logprobs(self, theta: Theta) -> np.ndarray:

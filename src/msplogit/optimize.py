@@ -10,7 +10,9 @@ package's own (``minimize``), after Nocedal & Wright (2006), Numerical
 Optimization, algorithms 3.5, 3.6 and 6.1.  Near the optimum, where
 value changes sink into the noise of the warm-started mode solves, the
 line search accepts steps by Hager & Zhang's approximate Wolfe
-conditions, so BFGS alone reaches the gradient tolerance.
+conditions, so BFGS alone reaches the gradient tolerance.  The same
+BFGS finds the default start: the Jeffreys-penalized logistic fit of
+the fixed effects alone, with psi = 0.
 
 The gradient tolerance ``GRAD_TOL``, the iteration cap ``MAX_ITER``, the
 approximate-Wolfe tolerance ``WOLFE_EPS`` and the finite-difference step
@@ -55,8 +57,6 @@ GRAD_TOL = 1e-6
 MAX_ITER = 500
 EPS = float(np.finfo(float).eps)
 FD_STEP_SCALE = EPS ** (1.0 / 3.0)
-
-START_NEWTON_STEPS = 25
 
 # Strong-Wolfe line search: sufficient-decrease and curvature constants,
 # the relative value change below which a step is judged on its slope
@@ -423,42 +423,14 @@ def minimize(fun, x0, callback=None):
     return x, f, g, nit
 
 
-def _penalized_logistic_start(X: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    """Newton steps on the Jeffreys-penalized fixed-effects logistic fit.
-
-    The adjusted score is X'(y - mu) + c/2 X'(h (1 - 2 mu)) with h the
-    weighted hat values; the penalty keeps the iterates finite even
-    under complete separation.  Runs a fixed number of damped steps.
-    """
-
-    def pll(b):
-        eta = X @ b
-        ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-        return ll + c * jeffreys_penalty(X, b).value
-
-    beta = np.zeros(X.shape[1])
-    value = pll(beta)
-    for _ in range(START_NEWTON_STEPS):
-        mu = expit(X @ beta)
-        w = mu * (1.0 - mu)
-        K = X.T @ (w[:, None] * X)
-        score = X.T @ (y - mu) + c * jeffreys_penalty(X, beta).gradient
-        if np.linalg.norm(score) < 1e-10:
-            break
-        L = np.linalg.cholesky(K)
-        step = np.linalg.solve(L.T, np.linalg.solve(L, score))
-        t = 1.0
-        for _ in range(30):
-            cand = pll(beta + t * step)
-            if cand >= value - 1e-12 * (1.0 + abs(value)):
-                beta = beta + t * step
-                value = cand
-                break
-            t /= 2.0
-    return beta
-
-
 def _start_theta(data: ClusteredDataset, options: FitOptions) -> Theta:
+    """``options.start``, or the penalized fixed-effects-only logistic fit with psi = 0.
+
+    The penalty is the fixed-effects block of the MSPL penalty, so beta
+    stays finite even under complete separation.  ``minimize`` finds it
+    from beta = 0; where X'WX is singular the objective is +inf, which
+    the line search backs away from.
+    """
     if options.start is not None:
         start = options.start
         if start.p != data.p or start.q != data.q:
@@ -467,8 +439,19 @@ def _start_theta(data: ClusteredDataset, options: FitOptions) -> Theta:
                 f"data needs (p={data.p}, q={data.q})"
             )
         return start
+    X, y = data.X, data.y
     c = scale_factor(data.p, data.n)
-    beta0 = _penalized_logistic_start(data.X, data.y, c)
+
+    def negated(beta):
+        try:
+            penalty = jeffreys_penalty(X, beta)
+        except SingularInformationError:
+            return np.inf, np.full(beta.size, np.nan)
+        eta = X @ beta
+        value = np.sum(y * eta - np.logaddexp(0.0, eta)) + c * penalty.value
+        return -value, -(X.T @ (y - expit(eta)) + c * penalty.gradient)
+
+    beta0 = minimize(negated, np.zeros(data.p))[0]
     return Theta(beta0, np.zeros(n_psi(data.q)))
 
 
@@ -493,10 +476,10 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
         return -value, -grad
 
     trace = []
-    x0 = _start_theta(data, options).as_vector()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
+            x0 = _start_theta(data, options).as_vector()
             x, value, grad, iterations = minimize(negated, x0, lambda _, f: trace.append(-f))
         theta_hat = Theta.from_vector(x, p)
         loglik_hat = evaluator.loglik(theta_hat)

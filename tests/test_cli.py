@@ -13,13 +13,16 @@ from msplogit.cli import (
     culcita_config,
     load_csv,
     main,
-    parse_float_list,
     parse_result,
 )
 from msplogit.datasets import culcita, culcita_path
 from msplogit.likelihood import ModeFindingError
 from msplogit.model import DataError
 from msplogit.simulate import REASONS
+
+
+def parse_float_list(value: str) -> list[float]:
+    return [float(v) for v in value.split(",") if v != ""]
 
 
 def write(tmp_path, name, text):

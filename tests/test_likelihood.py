@@ -17,7 +17,7 @@ from msplogit.likelihood import (
     gauss_hermite_rule,
 )
 from msplogit.inference import attach_se
-from msplogit.model import ClusteredDataset, Theta, psi_to_chol, psi_to_sigma
+from msplogit.model import ClusteredDataset, Theta, n_psi, psi_to_chol, psi_to_sigma
 from msplogit.optimize import FitOptions, fit
 
 from conftest import make_dataset, trapezoid_loglik
@@ -120,7 +120,7 @@ def u_modes(data, theta):
     if data.q == 1:
         s = min(float(np.exp(theta.psi[0])), 1.0)
         t_agq = likelihood._q1_logprobs(data, theta, gauss_hermite_rule(5))[1]
-        t_laplace = likelihood._q1_logprobs(data, theta, None)[1]
+        t_laplace = likelihood._q1_logprobs(data, theta, gauss_hermite_rule(1))[1]
         return [s * t_agq[:, None], s * t_laplace[:, None]]
     v = likelihood._laplace_general(data, theta)[1]
     return [v @ psi_to_chol(theta.psi, theta.q).T]
@@ -157,21 +157,24 @@ class TestClusterMode:
         for u in u_modes(data, _theta([0.4, -0.2], [np.log(1e-3)])):
             assert abs(u[0, 0]) < 1e-2
 
-    def test_mode_contract(self):
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_mode_contract(self, q):
         # The mode is stationary in u, and the Laplace value is the u-scale
         # g(u) - 1/2 log det(Z'WZ + Sigma^{-1}) - 1/2 log det Sigma there.
+        # At q = 1 this is an oracle for the one-node rule that does not
+        # go through the quadrature sum.
         rng = np.random.default_rng(8)
         for seed in range(10):
-            data = make_dataset(k=1, n_i=5, p=2, q=2, seed=seed)
-            theta = _theta(rng.normal(size=2), rng.normal(scale=0.6, size=3))
-            [u] = u_modes(data, theta)
-            u = u[0]
-            sigma = psi_to_sigma(theta.psi, 2)
+            data = make_dataset(k=1, n_i=5, p=2, q=q, seed=seed)
+            theta = _theta(rng.normal(size=2), rng.normal(scale=0.6, size=n_psi(q)))
+            sigma = psi_to_sigma(theta.psi, q)
             sigma_inv = np.linalg.inv(sigma)
-            eta = data.X @ theta.beta + data.Z @ u
-            mu = expit(eta)
-            grad = data.Z.T @ (data.y - mu) - sigma_inv @ u
-            assert np.linalg.norm(grad) < 1e-8
+            for u in u_modes(data, theta):
+                u = u[0]
+                eta = data.X @ theta.beta + data.Z @ u
+                mu = expit(eta)
+                grad = data.Z.T @ (data.y - mu) - sigma_inv @ u
+                assert np.linalg.norm(grad) < 1e-8
             H = data.Z.T @ ((mu * (1.0 - mu))[:, None] * data.Z) + sigma_inv
             g = np.sum(data.y * eta - np.logaddexp(0.0, eta)) - 0.5 * u @ sigma_inv @ u
             laplace = g - 0.5 * np.linalg.slogdet(H)[1] - 0.5 * np.linalg.slogdet(sigma)[1]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import msplogit.optimize as optimize
 from msplogit.likelihood import LoglikEvaluator, gauss_hermite_rule
@@ -17,7 +19,8 @@ from msplogit.optimize import (
     objective_and_gradient,
     parameter_names,
 )
-from msplogit.penalties import composite_penalty
+from msplogit.penalties import composite_penalty, jeffreys_penalty, scale_factor
+from msplogit.simulate import simulate_responses
 
 from conftest import make_dataset, penalty_without_gradient, separation_dataset, stack_clusters
 
@@ -294,6 +297,19 @@ class TestFit:
         assert trace.size >= 2
         assert (np.diff(trace) >= 0).all()
 
+    def test_trace_falls_by_at_most_wolfe_eps(self, culcita_full, reference_mspl_point):
+        # ML fits of the culcita study design; replication 19 of this seed
+        # is a separated sample whose fit ends on its flat ridge, where an
+        # approximate-Wolfe step can lower the objective.
+        opts = FitOptions(method="ml", approx="agq", quadrature=100)
+        for r in range(20):
+            seeds = np.random.SeedSequence(5106, spawn_key=(r,))
+            sample = simulate_responses(
+                culcita_full, reference_mspl_point, np.random.Generator(np.random.Philox(seeds))
+            )
+            trace = fit(sample, opts).objective_trace
+            assert (np.diff(trace) >= -optimize.WOLFE_EPS * np.abs(trace[:-1])).all(), r
+
     def test_grad_norm_within_tol_when_converged(self):
         data = make_dataset(k=4, n_i=5, p=2, seed=12, beta=[0.2, 0.4], psi=[-0.2])
         result = fit(data, FitOptions(method="mspl", quadrature=25))
@@ -316,6 +332,26 @@ class TestFit:
         assert result.converged
         with pytest.raises(ValueError):
             fit(data, FitOptions(start=Theta(np.zeros(3), np.zeros(1))))
+
+    @pytest.mark.parametrize("dataset", ["separation", "culcita_full", "culcita_reduced"])
+    def test_default_start_is_penalized_logistic_fit(self, dataset, request):
+        data = separation_dataset() if dataset == "separation" else request.getfixturevalue(dataset)
+        c = scale_factor(data.p, data.n)
+
+        def negated(beta):
+            eta = data.X @ beta
+            penalty = jeffreys_penalty(data.X, beta)
+            value = np.sum(data.y * eta - np.logaddexp(0.0, eta)) + c * penalty.value
+            return -value, -(data.X.T @ (data.y - expit(eta)) + c * penalty.gradient)
+
+        start = optimize._start_theta(data, FitOptions())
+        assert np.isfinite(start.beta).all()
+        assert np.array_equal(start.psi, np.zeros(1))
+        assert np.linalg.norm(negated(start.beta)[1]) <= optimize.GRAD_TOL
+        reference = scipy.optimize.minimize(
+            negated, np.zeros(data.p), jac=True, method="BFGS", options={"gtol": 1e-10}
+        )
+        np.testing.assert_allclose(start.beta, reference.x, rtol=0.0, atol=1e-5)
 
     def test_start_independence_at_optimum(self, culcita_reduced):
         opts = FitOptions(method="mspl", quadrature=100)
