@@ -30,6 +30,12 @@ Two approximations are provided:
   quadrature coincides with the Laplace value when q = 1, and the
   Laplace value at q = 1 is computed as that one-node rule).
 
+Every cluster's mode comes from one damped-Newton loop
+(``_damped_newton``).  Each scale gives it only its own exponent, score
+and curvature, and Newton step: a clipped scalar step at q = 1, a
+batched solve with a capped norm at q >= 2.  Each cluster stops on its
+own, once converged or once stalled at machine precision.
+
 Internally both approximations are evaluated in the standardized scale
 u = L v (so the Gaussian exponent is -||v||^2/2 and the curvature is
 L' Z' W Z L + I >= I).  The change of variables maps modes to modes and
@@ -101,15 +107,7 @@ MODE_MAX_ITER = 200
 MODE_MAX_STEP = 100.0
 
 class ModeFindingError(RuntimeError):
-    """Newton iteration for a cluster mode failed to converge.
-
-    Carries the last iterate and its gradient norm for diagnosis.
-    """
-
-    def __init__(self, message, last_iterate=None, grad_norm=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.grad_norm = grad_norm
+    """Newton iteration for a cluster mode failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -190,30 +188,68 @@ def _q1_scale(sigma: float):
     return s, ratio
 
 
-def _warm_start(g_all, v0, zero: np.ndarray):
-    """Starting modes and their exponents: ``v0`` where it beats ``zero``.
+def _damped_newton(g_all, score_curvature, newton_step, zero: np.ndarray, v0=None):
+    """Maximize every cluster's exponent at once by damped Newton.
 
-    A warm start from a parameter point at a very different scale can be
-    worse than a cold start, so each cluster keeps whichever is better.
-    Without ``v0`` the start is ``zero``.
+    ``g_all(v)`` gives the exponents, ``score_curvature(v)`` their
+    gradients, negative Hessians and per-cluster gradient norms, and
+    ``newton_step(grad, curvature, lam)`` the step for Levenberg damping
+    ``lam``; the first axis of every array runs over clusters.  A warm
+    start ``v0`` from a parameter point at a very different scale can be
+    worse than a cold start, so each cluster starts from whichever of
+    ``v0`` and ``zero`` is better.  Each cluster keeps its own damping
+    factor and stops on its own: once its gradient norm is below
+    ``MODE_GRAD_TOL_V``, or once no damped step increases its exponent
+    (it is then stalled at machine precision).  Returns (v_hat,
+    g(v_hat), curvature).
     """
     if v0 is None:
-        return zero, g_all(zero)
-    v = np.array(v0, dtype=float)
-    g = g_all(v)
-    g0 = g_all(zero)
-    worse = ~(g >= g0)
-    v[worse] = 0.0
-    g[worse] = g0[worse]
-    return v, g
+        v, g = zero, g_all(zero)
+    else:
+        v = np.array(v0, dtype=float)
+        g = g_all(v)
+        g0 = g_all(zero)
+        worse = ~(g >= g0)
+        v[worse] = 0.0
+        g[worse] = g0[worse]
+    lam = np.zeros(g.shape)
+    stalled = np.zeros(g.shape, dtype=bool)
+    for _ in range(MODE_MAX_ITER):
+        grad, curvature, grad_norm = score_curvature(v)
+        pending = ~stalled & (grad_norm >= MODE_GRAD_TOL_V)
+        if not pending.any():
+            break
+        for _ in range(60):
+            step = newton_step(grad, curvature, lam)
+            step[~pending] = 0.0
+            cand = v + step
+            g_cand = g_all(cand)
+            ok = pending & (g_cand >= g - 1e-12 * (1.0 + np.abs(g)))
+            v[ok] = cand[ok]
+            g[ok] = g_cand[ok]
+            lam = np.where(ok, np.where(lam > 1e-12, lam / 10.0, 0.0), lam)
+            pending &= ~ok
+            if not pending.any():
+                break
+            lam = np.where(pending, np.maximum(lam * 10.0, 1e-4), lam)
+        stalled |= pending
+    else:
+        grad, curvature, grad_norm = score_curvature(v)
+    if grad_norm.max() < MODE_GRAD_ESCAPE:
+        return v, g, curvature
+    raise ModeFindingError(
+        f"cluster modes stopped at gradient norm {grad_norm.max():.3g} (target "
+        f"{MODE_GRAD_TOL_V}), with {int(stalled.sum())} of {stalled.size} clusters stalled"
+    )
 
 
 def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
     """All cluster modes at once for q = 1, in the t = u / min(sigma, 1) scale.
 
     Maximizes gt_i(t) = condloglik(xb + s z t) - ratio t^2 / 2 per
-    cluster by vectorized damped Newton.  Returns (t_hat, gt(t_hat),
-    curvature) with curvature = s^2 Z'WZ + ratio per cluster.
+    cluster by ``_damped_newton``, whose step is the scalar Newton step
+    clipped to ``MODE_MAX_STEP``.  Returns (t_hat, gt(t_hat), curvature)
+    with curvature = s^2 Z'WZ + ratio per cluster.
     """
     offs = data.row_offsets
     idx = data.row_cluster
@@ -229,54 +265,24 @@ def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
         mu = expit(xb + sz * v_vec[idx])
         grad = _segsum(sz * (y - mu), offs) - ratio * v_vec
         hess = _segsum(sz * sz * mu * (1.0 - mu), offs) + ratio
-        return grad, hess
+        return grad, hess, np.abs(grad)
 
-    v, g = _warm_start(g_all, v0, np.zeros(data.k))
-    lam = np.zeros(data.k)
-    for _ in range(MODE_MAX_ITER):
-        grad, hess = score_curvature(v)
-        if np.abs(grad).max() < MODE_GRAD_TOL_V:
-            return v, g, hess
-        pending = np.ones(data.k, dtype=bool)
-        v_new = v.copy()
-        g_new = g.copy()
-        for _ in range(60):
-            step = np.clip(grad / (hess + lam), -MODE_MAX_STEP, MODE_MAX_STEP)
-            cand = np.where(pending, v + step, v_new)
-            g_cand = g_all(cand)
-            ok = pending & (g_cand >= g - 1e-12 * (1.0 + np.abs(g)))
-            v_new[ok] = cand[ok]
-            g_new[ok] = g_cand[ok]
-            lam[ok] = np.where(lam[ok] > 1e-12, lam[ok] / 10.0, 0.0)
-            pending &= ~ok
-            if not pending.any():
-                break
-            lam[pending] = np.maximum(lam[pending] * 10.0, 1e-4)
-        else:
-            break  # some cluster is stuck at machine precision
-        v, g = v_new, g_new
-    else:
-        grad, hess = score_curvature(v)
-    if np.abs(grad).max() < MODE_GRAD_ESCAPE:
-        return v, g, hess
-    raise ModeFindingError(
-        f"cluster modes did not reach gradient norm {MODE_GRAD_TOL_V}",
-        last_iterate=v,
-        grad_norm=float(np.abs(grad).max()),
-    )
+    def newton_step(grad, hess, lam):  # np.clip costs twice this on k-vectors
+        return np.minimum(np.maximum(grad / (hess + lam), -MODE_MAX_STEP), MODE_MAX_STEP)
+
+    return _damped_newton(g_all, score_curvature, newton_step, np.zeros(data.k), v0)
 
 
 def _modes_general(data: ClusteredDataset, xb: np.ndarray, A: np.ndarray, v0=None):
     """All cluster modes at once for any q, in the standardized scale.
 
     Maximizes gt_i(v) = condloglik(xb + A v) - ||v||^2/2 per cluster,
-    with A = Z L row by row, by damped Newton on the stacked (k, q)
-    iterates.  The curvature A'WA + I is at least the identity, so the
-    solve stays well-conditioned for any covariance, including nearly
-    singular ones.  Each cluster keeps its own damping factor and stops
-    on its own: once its gradient norm is below ``MODE_GRAD_TOL_V``, or
-    once no damped step increases its gt_i.  Returns (v_hat, gt(v_hat),
-    curvature) of shapes (k, q), (k,) and (k, q, q).
+    with A = Z L row by row, by ``_damped_newton`` on the stacked (k, q)
+    iterates, whose step is a batched solve with its norm capped at
+    ``MODE_MAX_STEP``.  The curvature A'WA + I is at least the identity,
+    so the solve stays well-conditioned for any covariance, including
+    nearly singular ones.  Returns (v_hat, gt(v_hat), curvature) of
+    shapes (k, q), (k,) and (k, q, q).
     """
     offs = data.row_offsets
     idx = data.row_cluster
@@ -296,41 +302,14 @@ def _modes_general(data: ClusteredDataset, xb: np.ndarray, A: np.ndarray, v0=Non
         mu = expit(eta_of(v))
         grad = _segsum(A * (y - mu)[:, None], offs) - v
         H = _segsum((mu * (1.0 - mu))[:, None, None] * AA, offs) + eye
-        return grad, H
+        return grad, H, np.linalg.norm(grad, axis=1)
 
-    v, g = _warm_start(g_all, v0, np.zeros((k, q)))
-    lam = np.zeros(k)
-    stalled = np.zeros(k, dtype=bool)
-    for _ in range(MODE_MAX_ITER):
-        grad, H = score_curvature(v)
-        pending = ~stalled & (np.linalg.norm(grad, axis=1) >= MODE_GRAD_TOL_V)
-        if not pending.any():
-            break
-        for _ in range(60):
-            step = np.linalg.solve(H + lam[:, None, None] * eye, grad[:, :, None])[:, :, 0]
-            norm = np.linalg.norm(step, axis=1)
-            step *= (MODE_MAX_STEP / np.maximum(norm, MODE_MAX_STEP))[:, None]
-            step[~pending] = 0.0
-            g_cand = g_all(v + step)
-            ok = pending & (g_cand >= g - 1e-12 * (1.0 + np.abs(g)))
-            v[ok] += step[ok]
-            g[ok] = g_cand[ok]
-            lam[ok] = np.where(lam[ok] > 1e-12, lam[ok] / 10.0, 0.0)
-            pending &= ~ok
-            if not pending.any():
-                break
-            lam[pending] = np.maximum(lam[pending] * 10.0, 1e-4)
-        stalled |= pending  # no damped step helped: machine precision
-    else:
-        grad, H = score_curvature(v)
-    grad_norm = np.linalg.norm(grad, axis=1)
-    if grad_norm.max() < MODE_GRAD_ESCAPE:
-        return v, g, H
-    raise ModeFindingError(
-        f"cluster modes did not reach gradient norm {MODE_GRAD_TOL_V}",
-        last_iterate=v,
-        grad_norm=float(grad_norm.max()),
-    )
+    def newton_step(grad, H, lam):
+        step = np.linalg.solve(H + lam[:, None, None] * eye, grad[:, :, None])[:, :, 0]
+        norm = np.linalg.norm(step, axis=1)
+        return step * (MODE_MAX_STEP / np.maximum(norm, MODE_MAX_STEP))[:, None]
+
+    return _damped_newton(g_all, score_curvature, newton_step, np.zeros((k, q)), v0)
 
 
 # ---------------------------------------------------------------------------

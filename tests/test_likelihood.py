@@ -428,11 +428,66 @@ class TestStackedLaplaceSolver:
         assert np.abs(warm_values - cold_values).max() <= 1e-12
         assert np.abs(warm_values - loop_laplace_logprobs(data, near, far_modes)[0]).max() <= 1e-12
 
-    def test_stall_raises(self, monkeypatch):
-        data = make_dataset(k=4, n_i=6, p=2, q=2, seed=1)
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_stall_raises(self, monkeypatch, q):
+        data = make_dataset(k=4, n_i=6, p=2, q=q, seed=1)
         monkeypatch.setattr(likelihood, "MODE_MAX_ITER", 1)
-        with pytest.raises(ModeFindingError):
-            LoglikEvaluator(data, "laplace").cluster_logprobs(_theta([0.3, -0.4], [5.0, 5.0, 0.0]))
+        psi = [5.0] if q == 1 else [5.0, 5.0, 0.0]
+        with pytest.raises(ModeFindingError, match="gradient norm"):
+            LoglikEvaluator(data, "laplace").cluster_logprobs(_theta([0.3, -0.4], psi))
+
+    @pytest.mark.parametrize("log_sigma", [-10.0, -3.0, -1.0, 0.0])
+    def test_scalar_and_stacked_solvers_agree(self, culcita_full, reference_mspl_point, log_sigma):
+        # For sigma <= 1 the q = 1 scale t = u / sigma is the standardized
+        # scale of the stacked solver with A = sigma Z, so both solve the
+        # same problem by the same iteration.
+        rng = np.random.default_rng(15)
+        sigma = float(np.exp(log_sigma))
+        for _ in range(5):
+            xb = culcita_full.X @ (reference_mspl_point.beta + rng.normal(scale=2.0, size=4))
+            t, g_t, hess = likelihood._modes_q1(culcita_full, xb, sigma)
+            v, g_v, H = likelihood._modes_general(culcita_full, xb, sigma * culcita_full.Z)
+            assert np.abs(t - v[:, 0]).max() <= 1e-14
+            assert np.abs(g_t - g_v).max() <= 1e-14
+            assert np.abs(hess - H[:, 0, 0]).max() <= 1e-14
+
+
+class TestDampedNewton:
+    """The shared mode iteration on three separable quadratics.
+
+    Clusters 1 and 2 maximize -(v - c)^2 / 2.  Cluster 0 reports the
+    gradient ``stuck_grad`` but no candidate step ever raises its
+    exponent above the start's, so it stalls.
+    """
+
+    @staticmethod
+    def solve(stuck_grad):
+        centre = np.array([0.0, 1.5, -2.0])
+
+        def g_all(v):
+            g = -0.5 * (v - centre) ** 2
+            g[0] = 0.0 if v[0] == 0.0 else -1.0
+            return g
+
+        def score_curvature(v):
+            grad = centre - v
+            grad[0] = stuck_grad
+            return grad, np.ones(3), np.abs(grad)
+
+        def newton_step(grad, hess, lam):
+            return grad / (hess + lam)
+
+        return likelihood._damped_newton(g_all, score_curvature, newton_step, np.zeros(3))
+
+    def test_stalled_cluster_leaves_the_others_converging(self):
+        v, g, hess = self.solve(0.1 * MODE_GRAD_ESCAPE)
+        assert v[0] == 0.0
+        assert v[1:] == pytest.approx([1.5, -2.0], abs=MODE_GRAD_TOL_V)
+        assert g[1:] == pytest.approx([0.0, 0.0], abs=1e-20)
+
+    def test_stall_above_escape_raises_with_the_norm(self):
+        with pytest.raises(ModeFindingError, match=r"gradient norm 0\.001 .* 1 of 3 clusters stalled"):
+            self.solve(1e-3)
 
 
 class TestEvaluator:
