@@ -221,7 +221,7 @@ def objective_and_gradient(
         try:
             penalty = composite_penalty(data, theta)
         except SingularInformationError:
-            # Weights underflowed at an extreme probe point; the penalty
+            # sqrt(W) X lost rank at an extreme probe point; the penalty
             # limit there is -infinity, which the line search backs away from.
             return -np.inf, np.full(theta.dim, np.nan)
         value += penalty.value
@@ -428,8 +428,8 @@ def _start_theta(data: ClusteredDataset, options: FitOptions) -> Theta:
 
     The penalty is the fixed-effects block of the MSPL penalty, so beta
     stays finite even under complete separation.  ``minimize`` finds it
-    from beta = 0; where X'WX is singular the objective is +inf, which
-    the line search backs away from.
+    from beta = 0; where the penalty raises ``SingularInformationError``
+    the objective is +inf, which the line search backs away from.
     """
     if options.start is not None:
         start = options.start

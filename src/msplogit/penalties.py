@@ -6,8 +6,8 @@ that leaves the interior of the parameter space:
 * fixed effects: the log of the Jeffreys invariant prior of the
   logistic regression with the random effects removed,
   ``1/2 log det(X' W X)`` with ``W = diag(mu (1 - mu))`` and
-  ``mu = logistic(X beta)``.  Its partial derivatives are globally
-  bounded by ``p max_t |x_ts| / 2``.
+  ``mu = logistic(X beta)``, from a QR of ``sqrt(W) X``.  Its partial
+  derivatives are globally bounded by ``p max_t |x_ts| / 2``.
 * variance parameters: a sum of negative Huber losses over the
   components of psi, whose gradient entries are clamped to [-1, 1].
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ClusteredDataset, Theta, expit, n_psi
+from .model import ClusteredDataset, Theta, n_psi
 
 __all__ = [
     "PenaltyValue",
@@ -36,7 +36,12 @@ __all__ = [
 
 
 class SingularInformationError(RuntimeError):
-    """X' W X was numerically singular while evaluating the penalty."""
+    """sqrt(W) X lost rank at working precision in ``jeffreys_penalty``.
+
+    Data have passed the check of X against ``model.RANK_RTOL`` already, so
+    this fires only where the weights shrink some rows so far that the rest
+    no longer span p columns, as at the extreme points a line search probes.
+    """
 
 
 @dataclass(frozen=True)
@@ -80,39 +85,30 @@ def variance_penalty(psi: np.ndarray, q: int) -> PenaltyValue:
 def jeffreys_penalty(X: np.ndarray, beta: np.ndarray) -> PenaltyValue:
     """Log Jeffreys prior of the fixed-effects-only logistic model.
 
-    value = 1/2 log det(X' W X) with W from eta = X beta alone (the
-    random effects play no role here).  The gradient component s is
-    1/2 sum_t h_t (1 - 2 mu_t) x_ts, where h_t is the t-th diagonal
-    entry of the weighted projection X (X'WX)^{-1} X'W; since the h_t
-    are nonnegative and sum to p, every component of the gradient of
-    log det is bounded by p max_t |x_ts|.
+    value = 1/2 log det(X' W X) = sum_j log |R_jj|, with W from eta = X beta
+    alone (the random effects play no role) and sqrt(W) X = Q R; X'WX is
+    never formed.  The gradient component s is 1/2 sum_t h_t (1 - 2 mu_t) x_ts
+    with h_t, the squared norm of row t of Q, the t-th diagonal entry of the
+    weighted projection X (X'WX)^{-1} X'W; since the h_t are nonnegative and
+    sum to p, every component of the gradient of log det is bounded by
+    p max_t |x_ts|.  The weights come from exp(-|eta|), so they are
+    symmetric in eta.  Raises ``SingularInformationError`` unless every
+    |R_jj| > n eps max_j |R_jj|.
     """
     X = np.asarray(X, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if X.ndim != 2 or beta.shape != (X.shape[1],):
         raise ValueError(f"beta of length {X.shape[1]} expected, got shape {beta.shape}")
-    mu = expit(X @ beta)
-    w = mu * (1.0 - mu)
-    K = X.T @ (w[:, None] * X)
-    try:
-        L = np.linalg.cholesky(K)
-        value = float(np.sum(np.log(np.diag(L))))
-        B = np.linalg.solve(L, X.T)  # h_t = w_t |L^{-1} x_t|^2
-        h = w * np.einsum("pt,pt->t", B, B)
-    except np.linalg.LinAlgError:
-        sign, logdet = np.linalg.slogdet(K)
-        if sign <= 0 or not np.isfinite(logdet):
-            raise SingularInformationError(
-                "weighted information X'WX is singular"
-            ) from None
-        # Extreme beta: the weights have underflown enough to defeat the
-        # Cholesky but the determinant is still positive.  Fall back to a
-        # least-squares solve; accuracy is immaterial this far out.
-        value = 0.5 * logdet
-        S = np.linalg.lstsq(K, X.T, rcond=None)[0]
-        h = w * np.einsum("tp,pt->t", X, S)
-    grad = 0.5 * (X.T @ (h * (1.0 - 2.0 * mu)))
-    return PenaltyValue(value, grad)
+    eta = X @ beta
+    z = np.exp(-np.abs(eta))
+    Q, R = np.linalg.qr((np.sqrt(z) / (1.0 + z))[:, None] * X)
+    r = np.abs(np.diag(R))
+    if r.size < X.shape[1] or not r.min() > X.shape[0] * np.finfo(float).eps * r.max():
+        raise SingularInformationError("weighted design sqrt(W) X is rank deficient")
+    h = np.einsum("tp,tp->t", Q, Q)
+    # 1 - 2 mu = -tanh(eta / 2)
+    grad = 0.5 * (X.T @ (h * np.tanh(-0.5 * eta)))
+    return PenaltyValue(float(np.sum(np.log(r))), grad)
 
 
 def scale_factor(p: int, n: int) -> float:

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -93,6 +95,39 @@ def trapezoid_loglik(data, theta, eta_shift=0.0):
     return total
 
 
+def jeffreys_oracle(X, beta, digits=50):
+    """1/2 log det(X' W X) and its gradient in ``digits``-digit decimal arithmetic.
+
+    The float inputs convert to decimals exactly.  X' W X is formed and
+    reduced by Gauss-Jordan elimination with partial pivoting, which
+    gives its determinant and (X' W X)^{-1} X' for the hat values; only
+    the final rounding to floats loses more than the working precision.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        Xd = [[Decimal(float(v)) for v in row] for row in np.asarray(X)]
+        bd = [Decimal(float(v)) for v in np.asarray(beta)]
+        n, p = len(Xd), len(bd)
+        mu = [1 / (1 + (-sum(x * b for x, b in zip(row, bd))).exp()) for row in Xd]
+        w = [m * (1 - m) for m in mu]
+        A = [
+            [sum(w[t] * Xd[t][i] * Xd[t][j] for t in range(n)) for j in range(p)]
+            + [Xd[t][i] for t in range(n)]
+            for i in range(p)
+        ]
+        for c in range(p):
+            pivot = max(range(c, p), key=lambda r: abs(A[r][c]))
+            A[c], A[pivot] = A[pivot], A[c]
+            for r in range(p):
+                if r != c:
+                    f = A[r][c] / A[c][c]
+                    A[r] = [a - f * b for a, b in zip(A[r], A[c])]
+        logdet = sum(abs(A[i][i]).ln() for i in range(p))
+        h = [w[t] * sum(Xd[t][i] * A[i][p + t] / A[i][i] for i in range(p)) for t in range(n)]
+        grad = [sum(h[t] * (1 - 2 * mu[t]) * Xd[t][s] for t in range(n)) / 2 for s in range(p)]
+        return float(logdet / 2), np.array([float(g) for g in grad])
+
+
 class _PenaltyWithoutGradient:
     def __init__(self, value):
         self.value = value
@@ -103,7 +138,13 @@ class _PenaltyWithoutGradient:
 
 
 def penalty_without_gradient(data, theta):
-    """``composite_penalty`` whose gradient fails, as on underflowed weights."""
+    """``composite_penalty`` with a real value and a gradient that raises.
+
+    The error is raised where ``objective_and_gradient`` does not catch
+    it, so it reaches ``fit``.  The real penalty takes its value and
+    gradient from one factorization and does not fail between them; this
+    fake stands for any penalty failure.
+    """
     return _PenaltyWithoutGradient(composite_penalty(data, theta).value)
 
 

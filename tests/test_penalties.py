@@ -14,7 +14,7 @@ from msplogit.penalties import (
     variance_penalty,
 )
 
-from conftest import make_dataset
+from conftest import jeffreys_oracle, make_dataset
 
 
 class TestHuber:
@@ -111,6 +111,36 @@ class TestJeffreysPenalty:
         X = np.column_stack([np.ones(6), np.ones(6)])
         with pytest.raises(SingularInformationError):
             jeffreys_penalty(X, np.zeros(2))
+
+    def test_symmetric_in_eta(self):
+        # w(eta) = w(-eta) and 1 - 2 mu is odd, so flipping beta keeps
+        # the value and negates the gradient, also where mu rounds to 0 or 1.
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.0, 1.0, size=9)
+        for X in (np.ones((5, 1)), np.column_stack([np.ones(9), x])):
+            for scale in (0.5, 5.0, 40.0, 100.0, 350.0):
+                beta = np.full(X.shape[1], scale)
+                assert np.abs(X @ beta).max() <= 700.0
+                pos, neg = jeffreys_penalty(X, beta), jeffreys_penalty(X, -beta)
+                assert np.isfinite(pos.value)
+                assert neg.value == pytest.approx(pos.value, rel=1e-12)
+                assert np.allclose(neg.gradient, -pos.gradient, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-7])
+    def test_near_collinear_matches_decimal_oracle(self, eps):
+        # Third column = second + eps * noise, so sqrt(W) X has condition
+        # number of order 1/eps.  The QR is backward stable and its error
+        # grows like machine epsilon / eps; forming X'WX would square that.
+        tol = 10 * np.finfo(float).eps / eps
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            x = rng.normal(size=12)
+            X = np.column_stack([np.ones(12), x, x + eps * rng.normal(size=12)])
+            beta = rng.normal(size=3)
+            value, grad = jeffreys_oracle(X, beta)
+            pv = jeffreys_penalty(X, beta)
+            assert pv.value == pytest.approx(value, abs=tol)
+            assert np.abs(pv.gradient - grad).max() <= tol
 
     def test_contrast_shift_identity(self):
         # On the transformed design X C^{-1} at C beta the value drops by
