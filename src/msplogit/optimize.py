@@ -6,8 +6,9 @@ likelihood's comes from the same mode solve as its value
 (``LoglikEvaluator.value_and_grad``), the penalty's is analytic.
 Maximization is BFGS with a strong-Wolfe line search, given the
 objective and its gradient in one call per point.  Both are the
-package's own (``minimize``), after Nocedal & Wright (2006), Numerical
-Optimization, algorithms 3.5, 3.6 and 6.1.  Near the optimum, where
+package's own (``minimize``): BFGS after Nocedal & Wright (2006),
+Numerical Optimization, algorithm 6.1, and the line search as one loop
+of More & Thuente's (1994) trial rules.  Near the optimum, where
 value changes sink into the noise of the warm-started mode solves, the
 line search accepts steps by Hager & Zhang's approximate Wolfe
 conditions, so BFGS alone reaches the gradient tolerance.  The same
@@ -24,6 +25,7 @@ all of R^d, so the optimization is unconstrained.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import warnings
@@ -61,8 +63,8 @@ FD_STEP_SCALE = EPS ** (1.0 / 3.0)
 # Strong-Wolfe line search: sufficient-decrease and curvature constants,
 # the relative value change below which a step is judged on its slope
 # alone (approximate Wolfe; far above the 1e-13 to 1e-11 value noise of
-# warm-started mode solves), and the trials allowed while bracketing and
-# while zooming.
+# warm-started mode solves), and the trials allowed while extending the
+# step and while shrinking the bracket.
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 WOLFE_EPS = 1e-10
@@ -312,82 +314,71 @@ def _next_trial(x, t, y, overshot):
     return _cubic_min(at, ft, dt, *y)
 
 
-def _zoom(phi, f0, slope0, x, t):
-    """Algorithm 3.6: shrink the bracket to a step meeting the strong Wolfe conditions.
+def _wolfe_step(fun, x, direction, f0, g0, f_prev):
+    """A step along ``direction`` meeting the strong Wolfe conditions.
 
-    ``x`` is the best point so far and the trial ``t`` bounds the
-    bracket beyond a minimizer, each (step, value, slope).  Trials come
+    A trial is accepted when |phi'(a)| <= WOLFE_C2 |phi'(0)| and its
+    value is at most f0 + WOLFE_EPS |f0|: the strong Wolfe conditions,
+    widened to the approximate ones of Hager & Zhang (2005), SIAM J.
+    Optim. 16(1), since every step with sufficient decrease passes that
+    value test.  Near the optimum the decrease the Armijo test asks for
+    falls below the noise in the objective's value, while the slope
+    still tells a good step from a bad one.
+
+    One loop runs More & Thuente's (1994, ACM TOMS 20(3)) trial rules.
+    The first step is min(1, 2.02 (f0 - f_prev) / slope), which repeats
+    the previous iteration's decrease.  While trials are short
+    (sufficient decrease, below the ``best`` trial from the second on,
+    and a negative slope) the step is extended, to the farther of the
+    cubic's minimizer and the secant root of the slope, by 1.1 to 4
+    times the last increase, for at most ``BRACKET_STEPS`` trials.  The
+    first other trial closes a bracket between ``best`` and a ``far``
+    end, which then shrinks at most ``ZOOM_STEPS`` times: trials come
     from ``_next_trial``, or bisect where it gives none inside the
     bracket or two trials left it wider than 2/3.  A non-finite value
-    counts as too long.  A trial ends the search by the strong Wolfe
-    conditions or by the approximate ones of ``_wolfe_step``.  Gives up
-    once no step in the bracket can change the value beyond rounding.
-    """
-    f_flat = f0 + WOLFE_EPS * abs(f0)
-    y, widths = x, [math.inf, math.inf]
-    for _ in range(ZOOM_STEPS):
-        overshot = not t[1] <= f0 + WOLFE_C1 * t[0] * slope0 or not t[1] < x[1]
-        step = _next_trial(x, t, y, overshot)
-        if overshot:
-            y = t
-        else:
-            y, x = (x if t[2] * x[2] < 0.0 else y), t
-        left, right = min(x[0], y[0]), max(x[0], y[0])
-        widths.append(right - left)
-        if widths[-1] * -slope0 <= EPS * abs(f0):
-            return None
-        if not left < step < right or widths[-1] > 0.66 * widths[-3]:
-            step = 0.5 * (left + right)
-        f, g, d = phi(step)
-        t = (step, f, d)
-        armijo = f <= f0 + WOLFE_C1 * step * slope0 and f < x[1]
-        if abs(d) <= -WOLFE_C2 * slope0 and (armijo or f <= f_flat):
-            return step, f, g
-    return None
-
-
-def _wolfe_step(fun, x, direction, f0, g0, f_prev):
-    """Algorithm 3.5: a step along ``direction`` meeting the strong Wolfe conditions.
-
-    A step that meets the curvature condition |phi'(a)| <= WOLFE_C2 |phi'(0)|
-    is also accepted without sufficient decrease when its value is within
-    WOLFE_EPS |f0| of f0: the approximate Wolfe conditions of Hager &
-    Zhang (2005), SIAM J. Optim. 16(1).  Near the optimum the decrease
-    the Armijo test asks for falls below the noise in the objective's
-    value, while the slope still tells a good step from a bad one.
-
-    The first trial step is min(1, 2.02 (f0 - f_prev) / slope), which
-    repeats the previous iteration's decrease.  A step too short is
-    extended as More & Thuente do, to the farther of the cubic's
-    minimizer and the secant root of the slope, by 1.1 to 4 times the
-    last increase.  Returns (step, value, gradient), or None.
+    counts as too long.  Gives up once no step in the bracket can
+    change the value beyond rounding.  Returns (step, value, gradient),
+    or None.
     """
     slope0 = float(g0 @ direction)
     if not slope0 < 0.0:
         return None
     f_flat = f0 + WOLFE_EPS * abs(f0)
-
-    def phi(alpha):
-        f, g = fun(x + alpha * direction)
-        return float(f), g, float(g @ direction)
-
-    alpha = min(1.0, 2.02 * (f0 - f_prev) / slope0) if f0 < f_prev else 1.0
-    old = (0.0, f0, slope0)
-    for i in range(BRACKET_STEPS):
-        f, g, d = phi(alpha)
-        armijo = f <= f0 + WOLFE_C1 * alpha * slope0 and (i == 0 or f < old[1])
-        if abs(d) <= -WOLFE_C2 * slope0 and (armijo or f <= f_flat):
-            return alpha, f, g
-        if not armijo or d >= 0.0:
-            return _zoom(phi, f0, slope0, old, (alpha, f, d))
-        guess = math.inf
-        if d > old[2]:
-            cubic = _cubic_min(*old, alpha, f, d)
-            secant = alpha + d * (alpha - old[0]) / (old[2] - d)
-            guess = max(secant, cubic if cubic > alpha else guess)
-        width, old = alpha - old[0], (alpha, f, d)
-        alpha = min(max(guess, alpha + 1.1 * width), alpha + 4.0 * width)
-    return None
+    step = min(1.0, 2.02 * (f0 - f_prev) / slope0) if f0 < f_prev else 1.0
+    best, far = (0.0, f0, slope0), None
+    trials, widths = BRACKET_STEPS, [math.inf, math.inf]
+    for i in itertools.count():
+        f, g = fun(x + step * direction)
+        f, d = float(f), float(g @ direction)
+        if abs(d) <= -WOLFE_C2 * slope0 and f <= f_flat:
+            return step, f, g
+        armijo = f <= f0 + WOLFE_C1 * step * slope0
+        short = far is None and armijo and (i == 0 or f < best[1]) and d < 0.0
+        if far is None and not short:
+            far, trials = best, i + 1 + ZOOM_STEPS
+        if i + 1 == trials:
+            return None
+        if short:
+            guess = math.inf
+            if d > best[2]:
+                cubic = _cubic_min(*best, step, f, d)
+                secant = step + d * (step - best[0]) / (best[2] - d)
+                guess = max(secant, cubic if cubic > step else guess)
+            width, best = step - best[0], (step, f, d)
+            step = min(max(guess, step + 1.1 * width), step + 4.0 * width)
+            continue
+        trial, overshot = (step, f, d), not (armijo and f < best[1])
+        step = _next_trial(best, trial, far, overshot)
+        if overshot:
+            far = trial
+        else:
+            far, best = (best if d * best[2] < 0.0 else far), trial
+        left, right = min(best[0], far[0]), max(best[0], far[0])
+        widths.append(right - left)
+        if widths[-1] * -slope0 <= EPS * abs(f0):
+            return None
+        if not left < step < right or widths[-1] > 0.66 * widths[-3]:
+            step = 0.5 * (left + right)
 
 
 def minimize(fun, x0, callback=None):

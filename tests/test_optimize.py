@@ -220,6 +220,46 @@ class TestMinimize:
         assert seen[-1][0] is x and seen[-1][1] == value
 
 
+class TestWolfeStep:
+    """The line search from x = 0 along +1, with the first trial step 1."""
+
+    @staticmethod
+    def search(f):
+        steps = []
+
+        def fun(x):
+            steps.append(float(x[0]))
+            value, slope = f(float(x[0]))
+            return value, np.array([slope])
+
+        value, slope = f(0.0)
+        found = optimize._wolfe_step(fun, np.zeros(1), np.ones(1), value, np.array([slope]), value)
+        return found, steps
+
+    def test_extension_stops_after_bracket_steps(self):
+        # Every trial of a line is short: each extension is 4 times the last.
+        found, steps = self.search(lambda x: (-x, -1.0))
+        assert found is None
+        assert len(steps) == optimize.BRACKET_STEPS == 10
+        assert steps == [(4.0**j - 1.0) / 3.0 for j in range(1, 11)]
+
+    def test_zoom_stops_after_zoom_steps(self):
+        # A line up to a wall at x = 5: the second trial brackets, and no
+        # trial inside meets the curvature condition.
+        found, steps = self.search(lambda x: (-x, -1.0) if x < 5.0 else (np.inf, np.nan))
+        assert found is None
+        assert len(steps) == 2 + optimize.ZOOM_STEPS == 12
+        assert steps == [1.0, 5.0] + [5.0 - 2.0 ** -j for j in range(-1, 9)]
+
+    def test_quartic_accepts_the_first_trial(self):
+        found, steps = self.search(lambda x: ((x - 0.8) ** 4, 4.0 * (x - 0.8) ** 3))
+        step, value, grad = found
+        assert steps == [1.0]
+        assert step == 1.0
+        assert value == pytest.approx(0.2**4, rel=1e-12)
+        assert grad == pytest.approx([4.0 * 0.2**3], rel=1e-12)
+
+
 class TestObjective:
     def test_penalty_additivity(self):
         data = make_dataset(k=3, n_i=4, p=2, seed=2)
