@@ -71,9 +71,13 @@ standardized scale and H its negative Hessian at the mode v_hat,
                         + sqrt(2) x_m tau d log tau / d theta)],
 
   where pi_m is node m's share of the cluster's quadrature sum and s =
-  min(sigma, 1) the integration scale.  The Laplace value at q = 1 is
-  the one-node case (x = 0, pi = 1): it runs through this routine with
-  the one-node rule.
+  min(sigma, 1) the integration scale.  In the t scale psi enters g
+  through s (eta = x'beta + s z t) and the prior curvature ratio =
+  (s / sigma)^2.  ``_q1_scale`` gives both with their derivatives in
+  psi, so one formula holds on either side of sigma = 1, as
+  ``psi_to_chol`` and ``chol_jacobian`` serve the q >= 2 routine.  The
+  Laplace value at q = 1 is the one-node case (x = 0, pi = 1): it runs
+  through this routine with the one-node rule.
 """
 
 from __future__ import annotations
@@ -175,17 +179,20 @@ def _softplus_logistic(eta: np.ndarray):
 
 
 def _q1_scale(sigma: float):
-    """Integration scale for the scalar random effect.
+    """Integration scale for the scalar random effect, and its derivatives.
 
     The substitution u = s t with s = min(sigma, 1) keeps the inner
     problem conditioned at both extremes: for small sigma the prior
     curvature is exactly one, for huge sigma the gradient is evaluated
     at unit scale instead of being amplified by sigma.  ``ratio`` is
-    (s/sigma)^2, the prior curvature in the t scale.
+    (s/sigma)^2, the prior curvature in the t scale.  Returns (s, ratio,
+    d log s / d psi, d ratio / d psi) with psi = log sigma: the
+    derivatives are (1, 0) for sigma <= 1 and (0, -2 ratio) above.
     """
-    s = min(sigma, 1.0)
-    ratio = 1.0 if sigma <= 1.0 else np.exp(-2.0 * np.log(sigma))
-    return s, ratio
+    if sigma <= 1.0:
+        return sigma, 1.0, 1.0, 0.0
+    ratio = np.exp(-2.0 * np.log(sigma))
+    return 1.0, ratio, 0.0, -2.0 * ratio
 
 
 def _damped_newton(g_all, score_curvature, newton_step, zero: np.ndarray, v0=None):
@@ -195,23 +202,20 @@ def _damped_newton(g_all, score_curvature, newton_step, zero: np.ndarray, v0=Non
     gradients, negative Hessians and per-cluster gradient norms, and
     ``newton_step(grad, curvature, lam)`` the step for Levenberg damping
     ``lam``; the first axis of every array runs over clusters.  A warm
-    start ``v0`` from a parameter point at a very different scale can be
-    worse than a cold start, so each cluster starts from whichever of
-    ``v0`` and ``zero`` is better.  Each cluster keeps its own damping
-    factor and stops on its own: once its gradient norm is below
-    ``MODE_GRAD_TOL_V``, or once no damped step increases its exponent
-    (it is then stalled at machine precision).  Returns (v_hat,
-    g(v_hat), curvature).
+    start ``v0`` (``zero`` when None) from a parameter point at a very
+    different scale can be worse than a cold start, so each cluster
+    starts from whichever of ``v0`` and ``zero`` is better.  Each cluster
+    keeps its own damping factor and stops on its own: once its gradient
+    norm is below ``MODE_GRAD_TOL_V``, or once no damped step increases
+    its exponent (it is then stalled at machine precision).  Returns
+    (v_hat, g(v_hat), curvature).
     """
-    if v0 is None:
-        v, g = zero, g_all(zero)
-    else:
-        v = np.array(v0, dtype=float)
-        g = g_all(v)
-        g0 = g_all(zero)
-        worse = ~(g >= g0)
-        v[worse] = 0.0
-        g[worse] = g0[worse]
+    v = np.array(zero if v0 is None else v0, dtype=float)
+    g = g_all(v)
+    g0 = g_all(zero)
+    worse = ~(g >= g0)
+    v[worse] = 0.0
+    g[worse] = g0[worse]
     lam = np.zeros(g.shape)
     stalled = np.zeros(g.shape, dtype=bool)
     for _ in range(MODE_MAX_ITER):
@@ -254,7 +258,7 @@ def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
     offs = data.row_offsets
     idx = data.row_cluster
     y = data.y
-    s, ratio = _q1_scale(sigma)
+    s, ratio = _q1_scale(sigma)[:2]
     sz = s * data.Z[:, 0]
 
     def g_all(v_vec):
@@ -326,9 +330,7 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     """
     psi = float(theta.psi[0])
     sigma = float(np.exp(psi))
-    s, ratio = _q1_scale(sigma)
-    wide = sigma > 1.0
-    log_s_over_sigma = -psi if wide else 0.0
+    s, ratio, dlog_s, dratio = _q1_scale(sigma)
     xb = data.X @ theta.beta
     t, g_mode, hess = _modes_q1(data, xb, sigma, warm)
     log_tau = -0.5 * np.log(hess)
@@ -338,7 +340,8 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     idx = data.row_cluster
     y = data.y
     sz = s * data.Z[:, 0]
-    base = xb + sz * t[idx]
+    szt = sz * t[idx]
+    base = xb + szt
     x = rule.nodes
     logw = np.log(rule.weights)
     scale = sz * (np.sqrt(2.0) * tau)[idx]
@@ -352,6 +355,7 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     terms = np.exp(log_terms - peak[:, None])
     total = terms.sum(axis=1)
     log_int_rel = peak + np.log(total)
+    log_s_over_sigma = (dlog_s - 1.0) * psi  # log s = dlog_s psi on both sides of sigma = 1
     logprobs = g_mode + log_tau + log_int_rel + log_s_over_sigma - 0.5 * np.log(np.pi)
     post = terms / total[:, None]
     if not grad:
@@ -359,31 +363,29 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
 
     # At the mode: d eta / d theta at fixed t (columns beta, then psi),
     # the mode's derivative by the implicit-function theorem, and that
-    # of log tau = -1/2 log hess.
+    # of log tau = -1/2 log hess, with hess = s^2 Z'WZ + ratio.
     p = data.p
     mu = expit(base)
     w = mu * (1.0 - mu)
     E = np.empty((data.n, p + 1))
     E[:, :p] = data.X
-    E[:, p] = 0.0 if wide else sz * t[idx]
+    E[:, p] = dlog_s * szt
     C = -_segsum((sz * w)[:, None] * E, offs)
-    C[:, p] += 2.0 * ratio * t if wide else _segsum(sz * (y - mu), offs)
+    C[:, p] += dlog_s * _segsum(sz * (y - mu), offs) - dratio * t
     dt = C / hess[:, None]
     dhess = _segsum((sz * sz * w * (1.0 - 2.0 * mu))[:, None] * (E + sz[:, None] * dt[idx]), offs)
-    dhess[:, p] += -2.0 * ratio if wide else 2.0 * (hess - 1.0)
+    dhess[:, p] += 2.0 * dlog_s * (hess - ratio) + dratio
     dlog_tau = -0.5 * dhess / hess[:, None]
 
     # At the nodes t_m = t_hat + sqrt(2) tau x_m, weighted by each node's
     # share ``post`` of the cluster's integral.
     resid = y[:, None] - mu_nodes
-    slope = _segsum(sz[:, None] * resid, offs) - ratio * nodes
-    weighted = post[idx] * resid
+    dcond = _segsum(sz[:, None] * resid, offs)
+    slope = dcond - ratio * nodes
     gradient = np.empty(p + 1)
-    gradient[:p] = data.X.T @ weighted.sum(axis=1)
-    if wide:
-        gradient[p] = ratio * np.sum(post * nodes**2) - data.k
-    else:
-        gradient[p] = np.sum(sz[:, None] * weighted * nodes[idx])
+    gradient[:p] = data.X.T @ (post[idx] * resid).sum(axis=1)
+    dg_psi = nodes * (dlog_s * dcond - 0.5 * dratio * nodes)  # at fixed t
+    gradient[p] = np.sum(post * dg_psi) + data.k * (dlog_s - 1.0)
     c = np.sum(post * slope, axis=1)
     e = np.sqrt(2.0) * tau * np.sum(post * slope * x[None, :], axis=1)
     gradient += c @ dt + (1.0 + e) @ dlog_tau
@@ -419,19 +421,19 @@ def _laplace_general(data: ClusteredDataset, theta: Theta, warm=None, grad=False
     mu = expit(xb + np.einsum("rj,rj->r", A, v_rows))
     w = mu * (1.0 - mu)
     resid = data.y - mu
-    # dA[r, k] = d a_r / d psi_k; E = d eta / d theta at fixed v.
-    dA = np.einsum("ra,kab->rkb", data.Z, chol_jacobian(theta.psi, theta.q))
-    E = np.concatenate([data.X, np.einsum("rkb,rb->rk", dA, v_rows)], axis=1)
+    # dA[k, r] = d a_r / d psi_k; E = d eta / d theta at fixed v.
+    dA = data.Z @ chol_jacobian(theta.psi, theta.q)
+    E = np.concatenate([data.X, np.einsum("krb,rb->rk", dA, v_rows)], axis=1)
     # d v_hat / d theta = H^{-1} d(score) / d theta (implicit-function theorem).
     C = -_segsum(A[:, :, None] * (w[:, None] * E)[:, None, :], offs)
-    C[:, :, p:] += _segsum(dA.transpose(0, 2, 1) * resid[:, None, None], offs)
+    C[:, :, p:] += _segsum(dA.transpose(1, 2, 0) * resid[:, None, None], offs)
     H_inv = np.linalg.inv(H)
     deta = E + np.einsum("rb,rbd->rd", A, (H_inv @ C)[idx])
     B = np.einsum("rab,rb->ra", H_inv[idx], A)
     leverage = np.einsum("ra,ra->r", A, B)
     # g at the mode (envelope theorem), less 1/2 tr(H^{-1} dH / d theta).
     gradient = E.T @ resid - 0.5 * (deta.T @ (w * (1.0 - 2.0 * mu) * leverage))
-    gradient[p:] -= np.einsum("rkb,rb->k", dA, w[:, None] * B)
+    gradient[p:] -= np.einsum("krb,rb->k", dA, w[:, None] * B)
     return logprobs, v, gradient
 
 

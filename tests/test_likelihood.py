@@ -501,11 +501,6 @@ class TestEvaluator:
         cold = LoglikEvaluator(data, "agq", gauss_hermite_rule(30)).loglik(t2)
         assert warm == pytest.approx(cold, abs=1e-10)
 
-    def test_rejects_agq_for_q2(self):
-        data = make_dataset(k=2, n_i=4, p=2, q=2, seed=0)
-        with pytest.raises(ValueError):
-            LoglikEvaluator(data, "agq", gauss_hermite_rule(5))
-
     def test_auto_selects_by_dimension(self):
         assert FitOptions().evaluator(make_dataset(q=1)).approx == "agq"
         assert FitOptions().evaluator(make_dataset(q=2, p=2)).approx == "laplace"
@@ -560,6 +555,18 @@ class TestValueAndGrad:
             assert_exact_gradient(culcita_reduced, "laplace", None, theta)
         else:
             assert_exact_gradient(culcita_reduced, "agq", gauss_hermite_rule(Q), theta)
+
+    @pytest.mark.parametrize("Q", [1, 100])
+    def test_q1_continuous_across_unit_sigma(self, culcita_reduced, reference_mspl_point, Q):
+        # psi <= 0 takes the sigma <= 1 derivatives of the integration
+        # scale from _q1_scale, psi = 1e-12 those above.
+        grads = [
+            LoglikEvaluator(culcita_reduced, "agq", gauss_hermite_rule(Q))
+            .value_and_grad(Theta(reference_mspl_point.beta, np.array([psi])))[1]
+            for psi in (-1e-12, 0.0, 1e-12)
+        ]
+        assert np.abs(grads[0] - grads[1]).max() <= 1e-9
+        assert np.abs(grads[2] - grads[1]).max() <= 1e-9
 
     @pytest.mark.parametrize("log_sigma", [-3.0, 1.0, 4.0])
     @pytest.mark.parametrize("approx", ["agq", "laplace"])

@@ -251,6 +251,14 @@ class TestWolfeStep:
         assert len(steps) == 2 + optimize.ZOOM_STEPS == 12
         assert steps == [1.0, 5.0] + [5.0 - 2.0 ** -j for j in range(-1, 9)]
 
+    def test_first_trial_need_not_lower_the_value(self):
+        # A flat line with slope -1e-20, below the rounding of f0 = 1: the
+        # first trial counts as short and is extended; the second, no lower
+        # than the first, closes a bracket too narrow to change the value.
+        found, steps = self.search(lambda x: (1.0, -1e-20))
+        assert found is None
+        assert steps == [1.0, 5.0]
+
     def test_quartic_accepts_the_first_trial(self):
         found, steps = self.search(lambda x: ((x - 0.8) ** 4, 4.0 * (x - 0.8) ** 3))
         step, value, grad = found
