@@ -31,10 +31,13 @@ Two approximations are provided:
   Laplace value at q = 1 is computed as that one-node rule).
 
 Every cluster's mode comes from one damped-Newton loop
-(``_damped_newton``).  Each scale gives it only its own exponent, score
-and curvature, and Newton step: a clipped scalar step at q = 1, a
-batched solve with a capped norm at q >= 2.  Each cluster stops on its
-own, once converged or once stalled at machine precision.
+(``_damped_newton``).  Each scale gives it only its own state and Newton
+step: the state is the exponent, score, curvature and gradient norm,
+all from one linear predictor and one exponential per row, and the step
+is a clipped scalar step at q = 1, a batched solve with a capped norm at
+q >= 2.  Each Newton candidate costs one pass over the rows.  Each
+cluster stops on its own, once converged or once stalled at machine
+precision.
 
 Internally both approximations are evaluated in the standardized scale
 u = L v (so the Gaussian exponent is -||v||^2/2 and the curvature is
@@ -75,7 +78,7 @@ standardized scale and H its negative Hessian at the mode v_hat,
   through s (eta = x'beta + s z t) and the prior curvature ratio =
   (s / sigma)^2.  ``_q1_scale`` gives both with their derivatives in
   psi, so one formula holds on either side of sigma = 1, as
-  ``psi_to_chol`` and ``chol_jacobian`` serve the q >= 2 routine.  The
+  ``psi_to_chol`` and ``psi_entries`` serve the q >= 2 routine.  The
   Laplace value at q = 1 is the one-node case (x = 0, pi = 1): it runs
   through this routine with the one-node rule.
 """
@@ -88,7 +91,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import ClusteredDataset, Theta, chol_jacobian, expit, psi_to_chol
+from .model import ClusteredDataset, Theta, expit, psi_entries, psi_to_chol
 
 __all__ = [
     "QuadratureRule",
@@ -195,31 +198,31 @@ def _q1_scale(sigma: float):
     return 1.0, ratio, 0.0, -2.0 * ratio
 
 
-def _damped_newton(g_all, score_curvature, newton_step, zero: np.ndarray, v0=None):
+def _damped_newton(state, newton_step, v0: np.ndarray, g_zero: np.ndarray):
     """Maximize every cluster's exponent at once by damped Newton.
 
-    ``g_all(v)`` gives the exponents, ``score_curvature(v)`` their
+    ``state(v)`` gives, from one pass over the rows, the exponents, their
     gradients, negative Hessians and per-cluster gradient norms, and
     ``newton_step(grad, curvature, lam)`` the step for Levenberg damping
-    ``lam``; the first axis of every array runs over clusters.  A warm
-    start ``v0`` (``zero`` when None) from a parameter point at a very
-    different scale can be worse than a cold start, so each cluster
-    starts from whichever of ``v0`` and ``zero`` is better.  Each cluster
-    keeps its own damping factor and stops on its own: once its gradient
-    norm is below ``MODE_GRAD_TOL_V``, or once no damped step increases
-    its exponent (it is then stalled at machine precision).  Returns
-    (v_hat, g(v_hat), curvature).
+    ``lam``; the first axis of every array runs over clusters.  A start
+    ``v0`` from a parameter point at a very different scale can be worse
+    than v = 0, whose exponents are ``g_zero``, so each cluster starts
+    from whichever of the two is better.  Each cluster keeps its own
+    damping factor and stops on its own: once its gradient norm is below
+    ``MODE_GRAD_TOL_V``, or once no damped step increases its exponent
+    (it is then stalled at machine precision).  A candidate's state is
+    kept for every cluster that accepts it, so each candidate costs one
+    ``state`` call.  Returns (v_hat, g(v_hat), curvature).
     """
-    v = np.array(zero if v0 is None else v0, dtype=float)
-    g = g_all(v)
-    g0 = g_all(zero)
-    worse = ~(g >= g0)
-    v[worse] = 0.0
-    g[worse] = g0[worse]
+    v = np.array(v0, dtype=float)
+    g, grad, curvature, grad_norm = state(v)
+    worse = ~(g >= g_zero)
+    if worse.any():
+        v[worse] = 0.0
+        g, grad, curvature, grad_norm = state(v)
     lam = np.zeros(g.shape)
     stalled = np.zeros(g.shape, dtype=bool)
     for _ in range(MODE_MAX_ITER):
-        grad, curvature, grad_norm = score_curvature(v)
         pending = ~stalled & (grad_norm >= MODE_GRAD_TOL_V)
         if not pending.any():
             break
@@ -227,18 +230,20 @@ def _damped_newton(g_all, score_curvature, newton_step, zero: np.ndarray, v0=Non
             step = newton_step(grad, curvature, lam)
             step[~pending] = 0.0
             cand = v + step
-            g_cand = g_all(cand)
-            ok = pending & (g_cand >= g - 1e-12 * (1.0 + np.abs(g)))
-            v[ok] = cand[ok]
-            g[ok] = g_cand[ok]
-            lam = np.where(ok, np.where(lam > 1e-12, lam / 10.0, 0.0), lam)
+            new = state(cand)
+            ok = pending & (new[0] >= g - 1e-12 * (1.0 + np.abs(g)))
+            if np.array_equal(ok, pending):  # clusters not pending did not move
+                v, (g, grad, curvature, grad_norm) = cand, new
+            else:
+                for kept, moved in zip((v, g, grad, curvature, grad_norm), (cand, *new)):
+                    kept[ok] = moved[ok]
+            if lam.any():
+                lam = np.where(ok, np.where(lam > 1e-12, lam / 10.0, 0.0), lam)
             pending &= ~ok
             if not pending.any():
                 break
             lam = np.where(pending, np.maximum(lam * 10.0, 1e-4), lam)
         stalled |= pending
-    else:
-        grad, curvature, grad_norm = score_curvature(v)
     if grad_norm.max() < MODE_GRAD_ESCAPE:
         return v, g, curvature
     raise ModeFindingError(
@@ -251,9 +256,9 @@ def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
     """All cluster modes at once for q = 1, in the t = u / min(sigma, 1) scale.
 
     Maximizes gt_i(t) = condloglik(xb + s z t) - ratio t^2 / 2 per
-    cluster by ``_damped_newton``, whose step is the scalar Newton step
-    clipped to ``MODE_MAX_STEP``.  Returns (t_hat, gt(t_hat), curvature)
-    with curvature = s^2 Z'WZ + ratio per cluster.
+    cluster by ``_damped_newton``, from ``v0`` (zero when None), with the
+    scalar Newton step clipped to ``MODE_MAX_STEP``.  Returns (t_hat,
+    gt(t_hat), curvature) with curvature = s^2 Z'WZ + ratio per cluster.
     """
     offs = data.row_offsets
     idx = data.row_cluster
@@ -261,20 +266,19 @@ def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
     s, ratio = _q1_scale(sigma)[:2]
     sz = s * data.Z[:, 0]
 
-    def g_all(v_vec):
+    def state(v_vec):
         eta = xb + sz * v_vec[idx]
-        return _segsum(y * eta - np.logaddexp(0.0, eta), offs) - 0.5 * ratio * v_vec**2
-
-    def score_curvature(v_vec):
-        mu = expit(xb + sz * v_vec[idx])
+        softplus, mu = _softplus_logistic(eta)
+        g = _segsum(y * eta - softplus, offs) - 0.5 * ratio * v_vec**2
         grad = _segsum(sz * (y - mu), offs) - ratio * v_vec
         hess = _segsum(sz * sz * mu * (1.0 - mu), offs) + ratio
-        return grad, hess, np.abs(grad)
+        return g, grad, hess, np.abs(grad)
 
     def newton_step(grad, hess, lam):  # np.clip costs twice this on k-vectors
         return np.minimum(np.maximum(grad / (hess + lam), -MODE_MAX_STEP), MODE_MAX_STEP)
 
-    return _damped_newton(g_all, score_curvature, newton_step, np.zeros(data.k), v0)
+    g_zero = _segsum(y * xb - _softplus_logistic(xb)[0], offs)
+    return _damped_newton(state, newton_step, np.zeros(data.k) if v0 is None else v0, g_zero)
 
 
 def _modes_general(data: ClusteredDataset, xb: np.ndarray, A: np.ndarray, v0=None):
@@ -282,11 +286,11 @@ def _modes_general(data: ClusteredDataset, xb: np.ndarray, A: np.ndarray, v0=Non
 
     Maximizes gt_i(v) = condloglik(xb + A v) - ||v||^2/2 per cluster,
     with A = Z L row by row, by ``_damped_newton`` on the stacked (k, q)
-    iterates, whose step is a batched solve with its norm capped at
-    ``MODE_MAX_STEP``.  The curvature A'WA + I is at least the identity,
-    so the solve stays well-conditioned for any covariance, including
-    nearly singular ones.  Returns (v_hat, gt(v_hat), curvature) of
-    shapes (k, q), (k,) and (k, q, q).
+    iterates from ``v0`` (zero when None), whose step is a batched solve
+    with its norm capped at ``MODE_MAX_STEP``.  The curvature A'WA + I is
+    at least the identity, so the solve stays well-conditioned for any
+    covariance, including nearly singular ones.  Returns (v_hat,
+    gt(v_hat), curvature) of shapes (k, q), (k,) and (k, q, q).
     """
     offs = data.row_offsets
     idx = data.row_cluster
@@ -295,25 +299,21 @@ def _modes_general(data: ClusteredDataset, xb: np.ndarray, A: np.ndarray, v0=Non
     eye = np.eye(q)
     AA = A[:, :, None] * A[:, None, :]
 
-    def eta_of(v):
-        return xb + np.einsum("rj,rj->r", A, v[idx])
-
-    def g_all(v):
-        eta = eta_of(v)
-        return _segsum(y * eta - np.logaddexp(0.0, eta), offs) - 0.5 * np.einsum("ij,ij->i", v, v)
-
-    def score_curvature(v):
-        mu = expit(eta_of(v))
+    def state(v):
+        eta = xb + np.vecdot(A, v.take(idx, axis=0))
+        softplus, mu = _softplus_logistic(eta)
+        g = _segsum(y * eta - softplus, offs) - 0.5 * np.vecdot(v, v)
         grad = _segsum(A * (y - mu)[:, None], offs) - v
         H = _segsum((mu * (1.0 - mu))[:, None, None] * AA, offs) + eye
-        return grad, H, np.linalg.norm(grad, axis=1)
+        return g, grad, H, np.sqrt(np.vecdot(grad, grad))
 
     def newton_step(grad, H, lam):
         step = np.linalg.solve(H + lam[:, None, None] * eye, grad[:, :, None])[:, :, 0]
         norm = np.linalg.norm(step, axis=1)
         return step * (MODE_MAX_STEP / np.maximum(norm, MODE_MAX_STEP))[:, None]
 
-    return _damped_newton(g_all, score_curvature, newton_step, np.zeros((k, q)), v0)
+    g_zero = _segsum(y * xb - _softplus_logistic(xb)[0], offs)
+    return _damped_newton(state, newton_step, np.zeros((k, q)) if v0 is None else v0, g_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -417,23 +417,32 @@ def _laplace_general(data: ClusteredDataset, theta: Theta, warm=None, grad=False
     offs = data.row_offsets
     idx = data.row_cluster
     p = data.p
-    v_rows = v[idx]
-    mu = expit(xb + np.einsum("rj,rj->r", A, v_rows))
+    v_rows = v.take(idx, axis=0)
+    mu = expit(xb + np.vecdot(A, v_rows))
     w = mu * (1.0 - mu)
     resid = data.y - mu
-    # dA[k, r] = d a_r / d psi_k; E = d eta / d theta at fixed v.
-    dA = data.Z @ chol_jacobian(theta.psi, theta.q)
-    E = np.concatenate([data.X, np.einsum("krb,rb->rk", dA, v_rows)], axis=1)
+    # psi_j moves the single entry (rows[j], cols[j]) of L, at rate L's
+    # diagonal for a log-diagonal parameter and one for an off-diagonal
+    # one; so d a_r / d psi_j has the single entry dZ[r, j] in column
+    # cols[j].  E = d eta / d theta at fixed v.
+    rows, cols = psi_entries(theta.q)
+    rate = np.ones(rows.size)
+    rate[: theta.q] = np.diagonal(L)
+    dZ = data.Z[:, rows] * rate
+    psi_cols = np.arange(p, p + rows.size)
+    E = np.concatenate([data.X, dZ * v_rows[:, cols]], axis=1)
     # d v_hat / d theta = H^{-1} d(score) / d theta (implicit-function theorem).
     C = -_segsum(A[:, :, None] * (w[:, None] * E)[:, None, :], offs)
-    C[:, :, p:] += _segsum(dA.transpose(1, 2, 0) * resid[:, None, None], offs)
+    C[:, cols, psi_cols] += _segsum(dZ * resid[:, None], offs)
     H_inv = np.linalg.inv(H)
-    deta = E + np.einsum("rb,rbd->rd", A, (H_inv @ C)[idx])
-    B = np.einsum("rab,rb->ra", H_inv[idx], A)
-    leverage = np.einsum("ra,ra->r", A, B)
-    # g at the mode (envelope theorem), less 1/2 tr(H^{-1} dH / d theta).
-    gradient = E.T @ resid - 0.5 * (deta.T @ (w * (1.0 - 2.0 * mu) * leverage))
-    gradient[p:] -= np.einsum("krb,rb->k", dA, w[:, None] * B)
+    dv = H_inv @ C
+    B = np.matvec(H_inv.take(idx, axis=0), A)
+    # g at the mode (envelope theorem), less 1/2 tr(H^{-1} dH / d theta),
+    # whose d eta / d theta at the moving mode is E + A dv.
+    curv_rate = w * (1.0 - 2.0 * mu) * np.vecdot(A, B)
+    gradient = E.T @ (resid - 0.5 * curv_rate)
+    gradient -= 0.5 * np.vecmat(_segsum(curv_rate[:, None] * A, offs), dv).sum(axis=0)
+    gradient[psi_cols] -= np.vecdot(dZ, (w[:, None] * B)[:, cols], axis=0)
     return logprobs, v, gradient
 
 

@@ -24,8 +24,8 @@ __all__ = [
     "Theta",
     "n_psi",
     "psi_dim",
+    "psi_entries",
     "psi_to_chol",
-    "chol_jacobian",
     "chol_to_psi",
     "psi_to_sigma",
     "sigma_to_psi",
@@ -203,9 +203,13 @@ class Theta:
         return psi_to_sigma(self.psi, self.q)
 
 
-def _tril_indices(q: int):
-    # Column-major strict lower triangle: (2,1), (3,1), ..., (q,1), (3,2), ...
-    rows, cols = [], []
+def psi_entries(q: int):
+    """The (row, column) of L that each entry of ``psi`` sets, in ``psi`` order.
+
+    The diagonal comes first, then the strictly lower triangle column by
+    column: (2,1), (3,1), ..., (q,1), (3,2), ...
+    """
+    rows, cols = list(range(q)), list(range(q))
     for j in range(q):
         for i in range(j + 1, q):
             rows.append(i)
@@ -221,36 +225,15 @@ def psi_to_chol(psi: np.ndarray, q: int) -> np.ndarray:
     if not np.isfinite(psi).all():
         raise ValueError("psi must be finite")
     L = np.zeros((q, q))
-    L[np.arange(q), np.arange(q)] = np.exp(psi[:q])
-    if q > 1:
-        rows, cols = _tril_indices(q)
-        L[rows, cols] = psi[q:]
+    L[psi_entries(q)] = np.concatenate([np.exp(psi[:q]), psi[q:]])
     return L
-
-
-def chol_jacobian(psi: np.ndarray, q: int) -> np.ndarray:
-    """Derivatives of the Cholesky factor, shape (len(psi), q, q).
-
-    Entry k is dL/dpsi_k: exp(psi_k) at (k, k) for a log-diagonal
-    parameter, one at its (row, column) for an off-diagonal one.
-    """
-    L = psi_to_chol(psi, q)
-    dL = np.zeros((n_psi(q), q, q))
-    dL[np.arange(q), np.arange(q), np.arange(q)] = np.diag(L)
-    if q > 1:
-        rows, cols = _tril_indices(q)
-        dL[np.arange(q, n_psi(q)), rows, cols] = 1.0
-    return dL
 
 
 def chol_to_psi(L: np.ndarray) -> np.ndarray:
     L = np.asarray(L, dtype=float)
     q = L.shape[0]
-    psi = np.empty(n_psi(q))
-    psi[:q] = np.log(np.diag(L))
-    if q > 1:
-        rows, cols = _tril_indices(q)
-        psi[q:] = L[rows, cols]
+    psi = L[psi_entries(q)]
+    psi[:q] = np.log(psi[:q])
     return psi
 
 

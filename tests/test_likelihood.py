@@ -464,20 +464,18 @@ class TestDampedNewton:
     def solve(stuck_grad):
         centre = np.array([0.0, 1.5, -2.0])
 
-        def g_all(v):
+        def state(v):
             g = -0.5 * (v - centre) ** 2
             g[0] = 0.0 if v[0] == 0.0 else -1.0
-            return g
-
-        def score_curvature(v):
             grad = centre - v
             grad[0] = stuck_grad
-            return grad, np.ones(3), np.abs(grad)
+            return g, grad, np.ones(3), np.abs(grad)
 
         def newton_step(grad, hess, lam):
             return grad / (hess + lam)
 
-        return likelihood._damped_newton(g_all, score_curvature, newton_step, np.zeros(3))
+        zero = np.zeros(3)
+        return likelihood._damped_newton(state, newton_step, zero, state(zero)[0])
 
     def test_stalled_cluster_leaves_the_others_converging(self):
         v, g, hess = self.solve(0.1 * MODE_GRAD_ESCAPE)
