@@ -31,13 +31,11 @@ Two approximations are provided:
   Laplace value at q = 1 is computed as that one-node rule).
 
 Every cluster's mode comes from one damped-Newton loop
-(``_damped_newton``).  Each scale gives it only its own state and Newton
-step: the state is the exponent, score, curvature and gradient norm,
-all from one linear predictor and one exponential per row, and the step
-is a clipped scalar step at q = 1, a batched solve with a capped norm at
-q >= 2.  Each Newton candidate costs one pass over the rows.  Each
-cluster stops on its own, once converged or once stalled at machine
-precision.
+(``_damped_newton``).  Each scale gives it only its own state (exponent,
+score, curvature and gradient norm, from one pass over the rows) and
+Newton step: a clipped scalar step at q = 1, a batched solve with a
+capped norm at q >= 2.  Each cluster stops on its own, once converged
+or once stalled at machine precision.
 
 Internally both approximations are evaluated in the standardized scale
 u = L v (so the Gaussian exponent is -||v||^2/2 and the curvature is
@@ -181,6 +179,12 @@ def _softplus_logistic(eta: np.ndarray):
     return np.maximum(eta, 0.0) + np.log1p(z), np.where(eta >= 0.0, 1.0, z) / (1.0 + z)
 
 
+def _exponent_at_zero(data: ClusteredDataset, xb: np.ndarray) -> np.ndarray:
+    """Each cluster's exponent at v = 0, bit for bit as the scales' ``state`` gives it."""
+    softplus = np.maximum(xb, 0.0) + np.log1p(np.exp(-np.abs(xb)))
+    return _segsum(data.y * xb - softplus, data.row_offsets)
+
+
 def _q1_scale(sigma: float):
     """Integration scale for the scalar random effect, and its derivatives.
 
@@ -210,8 +214,7 @@ def _damped_newton(state, newton_step, v0: np.ndarray, g_zero: np.ndarray):
     from whichever of the two is better.  Each cluster keeps its own
     damping factor and stops on its own: once its gradient norm is below
     ``MODE_GRAD_TOL_V``, or once no damped step increases its exponent
-    (it is then stalled at machine precision).  A candidate's state is
-    kept for every cluster that accepts it, so each candidate costs one
+    (it is then stalled at machine precision).  Each candidate costs one
     ``state`` call.  Returns (v_hat, g(v_hat), curvature).
     """
     v = np.array(v0, dtype=float)
@@ -277,8 +280,8 @@ def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
     def newton_step(grad, hess, lam):  # np.clip costs twice this on k-vectors
         return np.minimum(np.maximum(grad / (hess + lam), -MODE_MAX_STEP), MODE_MAX_STEP)
 
-    g_zero = _segsum(y * xb - _softplus_logistic(xb)[0], offs)
-    return _damped_newton(state, newton_step, np.zeros(data.k) if v0 is None else v0, g_zero)
+    start = np.zeros(data.k) if v0 is None else v0
+    return _damped_newton(state, newton_step, start, _exponent_at_zero(data, xb))
 
 
 def _modes_general(data: ClusteredDataset, xb: np.ndarray, A: np.ndarray, v0=None):
@@ -297,23 +300,24 @@ def _modes_general(data: ClusteredDataset, xb: np.ndarray, A: np.ndarray, v0=Non
     y = data.y
     k, q = data.k, A.shape[1]
     eye = np.eye(q)
-    AA = A[:, :, None] * A[:, None, :]
+    first, second = np.divmod(np.arange(q * q), q)
+    AA = A[:, first] * A[:, second]  # row r holds a_r a_r' flattened
 
     def state(v):
         eta = xb + np.vecdot(A, v.take(idx, axis=0))
         softplus, mu = _softplus_logistic(eta)
         g = _segsum(y * eta - softplus, offs) - 0.5 * np.vecdot(v, v)
         grad = _segsum(A * (y - mu)[:, None], offs) - v
-        H = _segsum((mu * (1.0 - mu))[:, None, None] * AA, offs) + eye
+        H = _segsum((mu * (1.0 - mu))[:, None] * AA, offs).reshape(k, q, q) + eye
         return g, grad, H, np.sqrt(np.vecdot(grad, grad))
 
     def newton_step(grad, H, lam):
         step = np.linalg.solve(H + lam[:, None, None] * eye, grad[:, :, None])[:, :, 0]
-        norm = np.linalg.norm(step, axis=1)
+        norm = np.sqrt(np.vecdot(step, step))
         return step * (MODE_MAX_STEP / np.maximum(norm, MODE_MAX_STEP))[:, None]
 
-    g_zero = _segsum(y * xb - _softplus_logistic(xb)[0], offs)
-    return _damped_newton(state, newton_step, np.zeros((k, q)) if v0 is None else v0, g_zero)
+    start = np.zeros((k, q)) if v0 is None else v0
+    return _damped_newton(state, newton_step, start, _exponent_at_zero(data, xb))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +330,8 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
 
     ``rule`` is the adaptive quadrature rule.  The Laplace value
     g(t_hat) - 1/2 log hess is computed as the one-node rule, whose only
-    node sits at the mode.  Returns (logprobs, t_hat, gradient or None).
+    node sits at the mode, solved for from ``warm``.  Returns (logprobs,
+    t_hat, gradient, d t_hat / d theta), the last two None without ``grad``.
     """
     psi = float(theta.psi[0])
     sigma = float(np.exp(psi))
@@ -359,7 +364,7 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     logprobs = g_mode + log_tau + log_int_rel + log_s_over_sigma - 0.5 * np.log(np.pi)
     post = terms / total[:, None]
     if not grad:
-        return logprobs, t, None
+        return logprobs, t, None, None
 
     # At the mode: d eta / d theta at fixed t (columns beta, then psi),
     # the mode's derivative by the implicit-function theorem, and that
@@ -389,7 +394,7 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     c = np.sum(post * slope, axis=1)
     e = np.sqrt(2.0) * tau * np.sum(post * slope * x[None, :], axis=1)
     gradient += c @ dt + (1.0 + e) @ dlog_tau
-    return logprobs, t, gradient
+    return logprobs, t, gradient, dt
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +405,8 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
 def _laplace_general(data: ClusteredDataset, theta: Theta, warm=None, grad=False):
     """Per-cluster Laplace log masses for q >= 2, and with ``grad`` their summed gradient.
 
-    Returns (logprobs, v_hat, gradient or None).
+    The modes are solved for from ``warm``.  Returns (logprobs, v_hat,
+    gradient, d v_hat / d theta), the last two None without ``grad``.
     """
     L = psi_to_chol(theta.psi, theta.q)
     A = data.Z @ L
@@ -412,7 +418,7 @@ def _laplace_general(data: ClusteredDataset, theta: Theta, warm=None, grad=False
     half_logdet = np.log(np.diagonal(np.linalg.cholesky(H), axis1=1, axis2=2)).sum(axis=1)
     logprobs = g - half_logdet
     if not grad:
-        return logprobs, v, None
+        return logprobs, v, None, None
 
     offs = data.row_offsets
     idx = data.row_cluster
@@ -421,14 +427,11 @@ def _laplace_general(data: ClusteredDataset, theta: Theta, warm=None, grad=False
     mu = expit(xb + np.vecdot(A, v_rows))
     w = mu * (1.0 - mu)
     resid = data.y - mu
-    # psi_j moves the single entry (rows[j], cols[j]) of L, at rate L's
-    # diagonal for a log-diagonal parameter and one for an off-diagonal
-    # one; so d a_r / d psi_j has the single entry dZ[r, j] in column
-    # cols[j].  E = d eta / d theta at fixed v.
+    # psi_j moves only L[rows[j], cols[j]], at rate L's diagonal entry or
+    # one, so d a_r / d psi_j is dZ[r, j] in column cols[j] and zero
+    # elsewhere.  E = d eta / d theta at fixed v.
     rows, cols = psi_entries(theta.q)
-    rate = np.ones(rows.size)
-    rate[: theta.q] = np.diagonal(L)
-    dZ = data.Z[:, rows] * rate
+    dZ = data.Z[:, rows] * np.where(rows == cols, L[rows, cols], 1.0)
     psi_cols = np.arange(p, p + rows.size)
     E = np.concatenate([data.X, dZ * v_rows[:, cols]], axis=1)
     # d v_hat / d theta = H^{-1} d(score) / d theta (implicit-function theorem).
@@ -443,11 +446,11 @@ def _laplace_general(data: ClusteredDataset, theta: Theta, warm=None, grad=False
     gradient = E.T @ (resid - 0.5 * curv_rate)
     gradient -= 0.5 * np.vecmat(_segsum(curv_rate[:, None] * A, offs), dv).sum(axis=0)
     gradient[psi_cols] -= np.vecdot(dZ, (w[:, None] * B)[:, cols], axis=0)
-    return logprobs, v, gradient
+    return logprobs, v, gradient, dv
 
 
 class LoglikEvaluator:
-    """The approximate log-likelihood of one dataset, with warm-started modes.
+    """The approximate log-likelihood of one dataset, with predicted warm starts.
 
     This is the one way to evaluate the approximation: per-cluster log
     masses, their sum, or the sum with its exact gradient.  A fresh
@@ -455,7 +458,13 @@ class LoglikEvaluator:
     objective evaluation is the inner Newton solve for the cluster modes;
     consecutive evaluations during an optimization differ by small
     parameter steps, so the previous modes are excellent starting points.
-    The evaluator is not thread safe, but distinct instances may run
+    A gradient call starts from the last gradient call's modes moved
+    along their derivative, v_hat + (d v_hat / d theta)(theta' - theta),
+    which is O(|theta' - theta|^2) from its own (predictor-corrector
+    continuation: Allgower & Georg, Introduction to Numerical
+    Continuation Methods, SIAM 2003, ch. 2).  A call at exactly the last
+    theta returns the stored, read-only results without solving.  The
+    evaluator is not thread safe, but distinct instances may run
     concurrently.
 
     ``approx`` is "agq" (q = 1 only, with its quadrature ``rule``) or
@@ -481,15 +490,41 @@ class LoglikEvaluator:
         self.data = data
         self.approx = approx
         self.rule = rule
-        self._warm = None
+        # The last solve: its theta, modes, results, and the modes'
+        # derivative in theta when it was a gradient call.
+        self._theta = None
+        self._modes = None
+        self._logprobs = None
+        self._gradient = None
+        self._tangent = None
+
+    def _start(self, x: np.ndarray):
+        """The start of a gradient call's mode solve at theta = ``x``."""
+        if self._tangent is None:
+            return self._modes
+        if self.data.q == 1:
+            # The t scale of _q1_scale switches at sigma = 1, where the
+            # tangent is one-sided; across that point the prediction goes.
+            sides = [_q1_scale(float(np.exp(psi)))[2] for psi in (x[-1], self._theta[-1])]
+            if sides[0] != sides[1]:
+                return self._modes
+        return self._modes + self._tangent @ (x - self._theta)
 
     def _evaluate(self, theta: Theta, grad: bool):
+        x = theta.as_vector()
+        if np.array_equal(x, self._theta) and (self._gradient is not None or not grad):
+            return self._logprobs, self._gradient
+        warm = self._start(x) if grad else self._modes
         if self.data.q == 1:
-            out = _q1_logprobs(self.data, theta, self.rule, self._warm, grad)
+            out = _q1_logprobs(self.data, theta, self.rule, warm, grad)
         else:
-            out = _laplace_general(self.data, theta, self._warm, grad)
-        logprobs, self._warm, gradient = out
-        return logprobs, gradient
+            out = _laplace_general(self.data, theta, warm, grad)
+        for result in out:
+            if result is not None:
+                result.setflags(write=False)
+        self._logprobs, self._modes, self._gradient, self._tangent = out
+        self._theta = x
+        return self._logprobs, self._gradient
 
     def cluster_logprobs(self, theta: Theta) -> np.ndarray:
         """Per-cluster log probability masses, each in (-inf, 0]; their sum is ``loglik``."""
@@ -499,7 +534,7 @@ class LoglikEvaluator:
         return float(self.cluster_logprobs(theta).sum())
 
     def value_and_grad(self, theta: Theta) -> tuple[float, np.ndarray]:
-        """The approximate log-likelihood and its exact gradient in theta.
+        """The approximate log-likelihood and its exact, read-only gradient in theta.
 
         One mode solve gives both; the value equals ``loglik(theta)``
         from the same warm state.  A non-finite gradient raises

@@ -15,6 +15,7 @@ definite ``Sigma`` with all implied correlations strictly inside
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -203,18 +204,23 @@ class Theta:
         return psi_to_sigma(self.psi, self.q)
 
 
+@lru_cache(maxsize=None)
 def psi_entries(q: int):
     """The (row, column) of L that each entry of ``psi`` sets, in ``psi`` order.
 
     The diagonal comes first, then the strictly lower triangle column by
-    column: (2,1), (3,1), ..., (q,1), (3,2), ...
+    column: (2,1), (3,1), ..., (q,1), (3,2), ...  Built once per q and
+    shared, so the two index arrays are read-only.
     """
     rows, cols = list(range(q)), list(range(q))
     for j in range(q):
         for i in range(j + 1, q):
             rows.append(i)
             cols.append(j)
-    return np.array(rows, dtype=int), np.array(cols, dtype=int)
+    entries = np.array(rows, dtype=int), np.array(cols, dtype=int)
+    for index in entries:
+        index.setflags(write=False)
+    return entries
 
 
 def psi_to_chol(psi: np.ndarray, q: int) -> np.ndarray:

@@ -51,6 +51,7 @@ __all__ = [
     "numeric_gradient",
     "hessian_fd",
     "minimize",
+    "default_start",
     "fit",
     "parameter_names",
 ]
@@ -414,22 +415,17 @@ def minimize(fun, x0, callback=None):
     return x, f, g, nit
 
 
-def _start_theta(data: ClusteredDataset, options: FitOptions) -> Theta:
-    """``options.start``, or the penalized fixed-effects-only logistic fit with psi = 0.
+def default_start(data: ClusteredDataset) -> Theta:
+    """The start of a fit without ``FitOptions.start``.
 
-    The penalty is the fixed-effects block of the MSPL penalty, so beta
+    The penalized fixed-effects-only logistic fit, with psi = 0.  The
+    penalty is the fixed-effects block of the MSPL penalty, so beta
     stays finite even under complete separation.  ``minimize`` finds it
-    from beta = 0; where the penalty raises ``SingularInformationError``
-    the objective is +inf, which the line search backs away from.
+    from beta = 0, with the same warnings silenced as in ``fit``; where
+    the penalty raises ``SingularInformationError`` the objective is
+    +inf, which the line search backs away from.  It depends on the data
+    alone, so fits of one sample by several methods can share it.
     """
-    if options.start is not None:
-        start = options.start
-        if start.p != data.p or start.q != data.q:
-            raise ValueError(
-                f"start has dimensions (p={start.p}, q={start.q}), "
-                f"data needs (p={data.p}, q={data.q})"
-            )
-        return start
     X, y = data.X, data.y
     c = scale_factor(data.p, data.n)
 
@@ -442,8 +438,23 @@ def _start_theta(data: ClusteredDataset, options: FitOptions) -> Theta:
         value = np.sum(y * eta - np.logaddexp(0.0, eta)) + c * penalty.value
         return -value, -(X.T @ (y - expit(eta)) + c * penalty.gradient)
 
-    beta0 = minimize(negated, np.zeros(data.p))[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        beta0 = minimize(negated, np.zeros(data.p))[0]
     return Theta(beta0, np.zeros(n_psi(data.q)))
+
+
+def _start_theta(data: ClusteredDataset, options: FitOptions) -> Theta:
+    """``options.start`` after a dimension check, or else ``default_start``."""
+    if options.start is None:
+        return default_start(data)
+    start = options.start
+    if start.p != data.p or start.q != data.q:
+        raise ValueError(
+            f"start has dimensions (p={start.p}, q={start.q}), "
+            f"data needs (p={data.p}, q={data.q})"
+        )
+    return start
 
 
 def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult:

@@ -25,13 +25,13 @@ import itertools
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .inference import attach_se, normal_quantile
 from .model import ClusteredDataset, Theta, expit, psi_to_chol
-from .optimize import FitError, FitOptions, fit, parameter_names
+from .optimize import FitError, FitOptions, default_start, fit, parameter_names
 
 __all__ = [
     "SimulationDesign",
@@ -165,15 +165,22 @@ def _fit_reasons(result) -> frozenset[str]:
 def run_replication(design: SimulationDesign, r: int) -> list[MethodRecord]:
     """Simulate replication r and fit every method on the same sample.
 
-    Returns one record per method.  A failed fit is recorded with the
-    ``exception`` reason, never raised.
+    Returns one record per method.  Every method without a ``start`` of
+    its own starts from the same ``default_start`` of the sample, found
+    once.  A failed fit is recorded with the ``exception`` reason, never
+    raised.
     """
     rng = _replication_rng(design.seed, r)
     sample = simulate_responses(design.template, design.theta_true, rng)
     d = design.theta_true.dim
+    start = None
     records = []
     for opts in design.methods:
         try:
+            if opts.start is None:
+                if start is None:
+                    start = default_start(sample)
+                opts = replace(opts, start=start)
             result = fit(sample, opts)
             result, _ = attach_se(sample, result)
             records.append(MethodRecord(

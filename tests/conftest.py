@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import expit, logsumexp
 
+import msplogit.likelihood as likelihood
 from msplogit.model import ClusteredDataset, Theta
 from msplogit.penalties import SingularInformationError, composite_penalty
 
@@ -146,6 +147,25 @@ def penalty_without_gradient(data, theta):
     fake stands for any penalty failure.
     """
     return _PenaltyWithoutGradient(composite_penalty(data, theta).value)
+
+
+@pytest.fixture
+def state_passes(monkeypatch):
+    """The ``state`` passes of every cluster-mode solve, one entry per solve in call order."""
+    passes = []
+    solve = likelihood._damped_newton
+
+    def counted(state, *args):
+        passes.append(0)
+
+        def counting_state(v):
+            passes[-1] += 1
+            return state(v)
+
+        return solve(counting_state, *args)
+
+    monkeypatch.setattr(likelihood, "_damped_newton", counted)
+    return passes
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from msplogit.model import Theta
 from msplogit.optimize import FitError, FitOptions, fit, hessian_fd
 from msplogit.simulate import simulate_responses
 
-from conftest import make_dataset
+from conftest import degenerate_slope_dataset, make_dataset
 
 
 class TestContrastMap:
@@ -138,6 +138,21 @@ class TestWaldSe:
             H[:, j] = (gradient(x - 2 * e) - 8 * gradient(x - e) + 8 * gradient(x + e)
                        - gradient(x + 2 * e)) / (12 * e[j])
         assert np.linalg.eigvalsh(-0.5 * (H + H.T)).min() < -1e-2
+
+    @pytest.mark.parametrize("case", ["culcita mspl", "culcita ml", "q2"])
+    def test_probes_after_the_first_take_two_passes(self, culcita_full, state_passes, case):
+        # Each probe of the Hessian starts from the tangent prediction of
+        # the probe before it, O(h^2) from its modes: one Newton step
+        # then meets the mode tolerance.
+        if case == "q2":
+            data, options = degenerate_slope_dataset(), FitOptions(method="mspl")
+        else:
+            data, options = culcita_full, FitOptions(method=case.split()[1], quadrature=100)
+        result = fit(data, options)
+        state_passes.clear()
+        wald_se(data, result)
+        assert len(state_passes) == 2 * result.theta.dim
+        assert max(state_passes[1:]) <= 2
 
     def test_mode_failure_in_hessian_raises_fit_error(self, monkeypatch):
         data = make_dataset(k=4, n_i=6, p=2, seed=3, beta=[0.5, -0.8], psi=[0.1])

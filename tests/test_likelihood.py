@@ -405,7 +405,7 @@ class TestStackedLaplaceSolver:
         for seed in range(4):
             data = make_dataset(k=12, n_i=6, p=2, q=2, seed=seed)
             theta = _theta(rng.normal(size=2), psi)
-            logprobs, modes, _ = likelihood._laplace_general(data, theta)
+            logprobs, modes = likelihood._laplace_general(data, theta)[:2]
             ref, ref_modes = loop_laplace_logprobs(data, theta)
             assert np.abs(logprobs - ref).max() <= 1e-12
             assert modes.shape == (data.k, 2)
@@ -450,6 +450,26 @@ class TestStackedLaplaceSolver:
             assert np.abs(t - v[:, 0]).max() <= 1e-14
             assert np.abs(g_t - g_v).max() <= 1e-14
             assert np.abs(hess - H[:, 0, 0]).max() <= 1e-14
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_exponent_at_zero_is_the_state_at_zero(self, monkeypatch, q):
+        # A cold start is never judged worse than itself, which would cost
+        # a second pass at the same point.
+        data = make_dataset(k=12, n_i=6, p=2, q=q, seed=4)
+        xb = data.X @ np.array([2.0, -3.0])
+        solve = likelihood._damped_newton
+        checked = []
+
+        def checking(state, newton_step, v0, g_zero):
+            checked.append(np.array_equal(state(np.zeros_like(v0))[0], g_zero))
+            return solve(state, newton_step, v0, g_zero)
+
+        monkeypatch.setattr(likelihood, "_damped_newton", checking)
+        if q == 1:
+            likelihood._modes_q1(data, xb, 0.7)
+        else:
+            likelihood._modes_general(data, xb, data.Z @ psi_to_chol(np.array([0.3, -0.5, 0.4]), 2))
+        assert checked == [True]
 
 
 class TestDampedNewton:
@@ -510,6 +530,51 @@ class TestEvaluator:
                 LoglikEvaluator(data, approx)
         with pytest.raises(ValueError):
             LoglikEvaluator(data, "agq")
+
+    def test_repeat_at_the_last_theta_solves_nothing(self, state_passes):
+        data = make_dataset(k=6, n_i=5, p=2, q=2, seed=2)
+        theta = _theta([0.3, -0.2], [0.1, -1.0, 0.2])
+        ev = LoglikEvaluator(data, "laplace")
+        value, grad = ev.value_and_grad(theta)
+        solves = len(state_passes)
+        logprobs = ev.cluster_logprobs(theta)
+        assert ev.value_and_grad(theta) == (value, grad)
+        assert len(state_passes) == solves
+        assert logprobs.sum() == value
+        for array in (logprobs, grad):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("case", ["q2", "q1, sigma < 1", "q1, sigma > 1"])
+    def test_tangent_prediction_is_second_order(self, culcita_reduced, reference_mspl_point, case):
+        # After a gradient call at theta, the next solve at theta + delta
+        # starts within |delta|^2 of the new modes; the plain warm start,
+        # the previous modes, is only O(|delta|) close.
+        if case == "q2":
+            data = make_dataset(k=12, n_i=6, p=2, q=2, seed=3, beta=[0.3, -0.6], psi=[0.0, -1.0, 0.3])
+            theta, approx, rule = _theta([0.3, -0.6], [0.0, -1.0, 0.3]), "laplace", None
+        else:
+            data, approx, rule = culcita_reduced, "agq", gauss_hermite_rule(100)
+            theta = Theta(reference_mspl_point.beta, np.array([-0.5 if "<" in case else 1.72]))
+        x = theta.as_vector()
+        direction = np.random.default_rng(1).normal(size=x.size)
+        direction /= np.linalg.norm(direction)
+        for h in (1e-2, 1e-3):
+            ev = LoglikEvaluator(data, approx, rule)
+            ev.value_and_grad(theta)
+            moved = x + h * direction
+            fresh = LoglikEvaluator(data, approx, rule)
+            fresh.cluster_logprobs(Theta.from_vector(moved, data.p))
+            assert np.abs(ev._start(moved) - fresh._modes).max() <= h**2
+            assert np.abs(ev._modes - fresh._modes).max() >= 10 * h**2
+
+    def test_prediction_dropped_across_unit_sigma(self, culcita_reduced, reference_mspl_point):
+        ev = LoglikEvaluator(culcita_reduced, "agq", gauss_hermite_rule(20))
+        ev.value_and_grad(Theta(reference_mspl_point.beta, np.array([-0.01])))
+        below, above = ev._theta.copy(), ev._theta.copy()
+        below[-1], above[-1] = -0.02, 0.01
+        assert not np.array_equal(ev._start(below), ev._modes)
+        assert np.array_equal(ev._start(above), ev._modes)
 
 
 def stencil_gradient(make_evaluator, theta, h=1e-3):
@@ -576,10 +641,17 @@ class TestValueAndGrad:
     @pytest.mark.parametrize("psi", [
         [0.3, -12.0, 0.2],  # log l22 = -12
         [0.0, np.log(0.0141435), 1.0],  # correlation 0.9999
-    ], ids=["log_l22=-12", "corr=0.9999"])
+        [5.0, 5.0, 0.3],  # both standard deviations e^5
+    ], ids=["log_l22=-12", "corr=0.9999", "sigma=e^5"])
     def test_q2(self, psi):
         data = make_dataset(k=12, n_i=6, p=2, q=2, seed=3, beta=[0.3, -0.6], psi=[0.0, -1.0, 0.3])
         assert_exact_gradient(data, "laplace", None, _theta([0.3, -0.6], psi))
+
+    @pytest.mark.parametrize("psi", [[-3.0, -3.0, 0.1], [0.0, -1.0, 0.3], [1.0, 1.0, -0.5]])
+    def test_q2_constant_and_separated_clusters(self, psi):
+        clusters = extreme_q1_clusters()
+        data = ClusteredDataset(clusters.y, clusters.X, clusters.X, clusters.sizes)
+        assert_exact_gradient(data, "laplace", None, _theta([0.4, 3.0], psi))
 
     def test_q3(self):
         psi = [0.0, -1.0, -0.5, 0.3, 0.1, -0.2]

@@ -22,7 +22,13 @@ from msplogit.optimize import (
 from msplogit.penalties import composite_penalty, jeffreys_penalty, scale_factor
 from msplogit.simulate import simulate_responses
 
-from conftest import make_dataset, penalty_without_gradient, separation_dataset, stack_clusters
+from conftest import (
+    degenerate_slope_dataset,
+    make_dataset,
+    penalty_without_gradient,
+    separation_dataset,
+    stack_clusters,
+)
 
 
 class TestFitOptions:
@@ -357,6 +363,18 @@ class TestFit:
             )
             trace = fit(sample, opts).objective_trace
             assert (np.diff(trace) >= -optimize.WOLFE_EPS * np.abs(trace[:-1])).all(), r
+
+    @pytest.mark.parametrize("case", ["culcita", "q2"])
+    def test_one_mode_solve_per_evaluation(self, culcita_reduced, state_passes, case):
+        # The closing log-likelihood at the estimate, the last point
+        # evaluated, reuses that evaluation's modes and masses.
+        if case == "q2":
+            data, options = degenerate_slope_dataset(), FitOptions(method="mspl")
+        else:
+            data, options = culcita_reduced, FitOptions(method="mspl", quadrature=100)
+        result = fit(data, options)
+        assert result.converged
+        assert len(state_passes) == result.evaluations
 
     def test_grad_norm_within_tol_when_converged(self):
         data = make_dataset(k=4, n_i=5, p=2, seed=12, beta=[0.2, 0.4], psi=[-0.2])

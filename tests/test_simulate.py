@@ -190,6 +190,35 @@ class TestRunStudy:
         assert ml.discarded["beta_flag"] == 6
         assert ml.discarded["se_flag"] == 6
 
+    def test_shared_start_gives_the_records_of_separate_fits(self):
+        methods = (FitOptions(method="mspl", quadrature=20), FitOptions(method="ml", quadrature=20))
+        design = small_design(R=3, methods=methods)
+        for r in range(3):
+            sample = simulate_responses(
+                design.template, design.theta_true, simulate._replication_rng(design.seed, r)
+            )
+            for record, opts in zip(run_replication(design, r), methods):
+                result, _ = inference.attach_se(sample, optimize.fit(sample, opts))
+                assert np.array_equal(record.estimates, result.theta.as_vector())
+                assert np.array_equal(
+                    record.ses, np.where(result.se_available, result.se, np.nan), equal_nan=True
+                )
+                assert record.reasons == simulate._fit_reasons(result)
+
+    def test_failed_start_is_an_exception_record_per_method(self, monkeypatch):
+        def failing_start(data):
+            raise optimize.FitError("start failed")
+
+        monkeypatch.setattr(simulate, "default_start", failing_start)
+        own = Theta(np.array([0.4, -0.8]), np.array([-0.2]))
+        methods = (
+            FitOptions(method="mspl", quadrature=20),
+            FitOptions(method="ml", quadrature=20, start=own),
+            FitOptions(method="ml", quadrature=20),
+        )
+        records = run_replication(small_design(R=1, methods=methods), 0)
+        assert [record.reasons == {"exception"} for record in records] == [True, False, True]
+
     def test_failed_penalty_gradient_is_an_exception_record(self, monkeypatch):
         monkeypatch.setattr(optimize, "composite_penalty", penalty_without_gradient)
         [record] = run_replication(small_design(R=1), 0)
