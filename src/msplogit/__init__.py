@@ -25,7 +25,6 @@ from .likelihood import (
 )
 from .penalties import (
     PenaltyValue,
-    SingularInformationError,
     composite_penalty,
     huber_D,
     jeffreys_penalty,
@@ -68,7 +67,6 @@ __all__ = [
     "QuadratureRule",
     "gauss_hermite_rule",
     "PenaltyValue",
-    "SingularInformationError",
     "composite_penalty",
     "huber_D",
     "jeffreys_penalty",

@@ -37,8 +37,8 @@ __all__ = [
 # Relative tolerance of the rank-revealing check on the stacked fixed-effects
 # design: singular values below RANK_RTOL * s_max count as zero.  The Jeffreys
 # penalty checks sqrt(W) X again at each evaluation, cutting diag R at n * eps
-# (penalties.SingularInformationError), and stays accurate well inside this
-# limit: its error is below 1e-8 on designs with cond(X) near 1e7.
+# and returning its limit, -inf, below the cut; it stays accurate well inside
+# this limit: its error is below 1e-8 on designs with cond(X) near 1e7.
 RANK_RTOL = 1e-8
 
 

@@ -35,12 +35,7 @@ import numpy as np
 
 from .likelihood import MAX_QUADRATURE, LoglikEvaluator, ModeFindingError, gauss_hermite_rule
 from .model import ClusteredDataset, Theta, expit, n_psi, psi_names
-from .penalties import (
-    SingularInformationError,
-    composite_penalty,
-    jeffreys_penalty,
-    scale_factor,
-)
+from .penalties import composite_penalty, jeffreys_penalty, scale_factor
 
 __all__ = [
     "FitOptions",
@@ -213,20 +208,16 @@ def objective_and_gradient(
     """The objective ``fit`` maximizes, and its gradient, from one mode solve.
 
     ML: the approximate log-likelihood; MSPL: that plus the scaled
-    composite penalty, or -inf (with a NaN gradient) where the
-    penalty's information matrix is singular.  A non-finite likelihood
+    composite penalty, which is -inf, with a NaN fixed-effects gradient,
+    where ``jeffreys_penalty`` finds sqrt(W) X rank deficient; the line
+    search backs away from such a point.  A non-finite likelihood
     gradient raises ``ModeFindingError``.
     """
     if evaluator is None:
         evaluator = options.evaluator(data)
     value, grad = evaluator.value_and_grad(theta)
     if options.method == "mspl":
-        try:
-            penalty = composite_penalty(data, theta)
-        except SingularInformationError:
-            # sqrt(W) X lost rank at an extreme probe point; the penalty
-            # limit there is -infinity, which the line search backs away from.
-            return -np.inf, np.full(theta.dim, np.nan)
+        penalty = composite_penalty(data, theta)
         value += penalty.value
         grad = grad + penalty.gradient
     return value, grad
@@ -422,18 +413,15 @@ def default_start(data: ClusteredDataset) -> Theta:
     penalty is the fixed-effects block of the MSPL penalty, so beta
     stays finite even under complete separation.  ``minimize`` finds it
     from beta = 0, with the same warnings silenced as in ``fit``; where
-    the penalty raises ``SingularInformationError`` the objective is
-    +inf, which the line search backs away from.  It depends on the data
-    alone, so fits of one sample by several methods can share it.
+    the penalty is -inf the negated objective is +inf, which the line
+    search backs away from.  It depends on the data alone, so fits of
+    one sample by several methods can share it.
     """
     X, y = data.X, data.y
     c = scale_factor(data.p, data.n)
 
     def negated(beta):
-        try:
-            penalty = jeffreys_penalty(X, beta)
-        except SingularInformationError:
-            return np.inf, np.full(beta.size, np.nan)
+        penalty = jeffreys_penalty(X, beta)
         eta = X @ beta
         value = np.sum(y * eta - np.logaddexp(0.0, eta)) + c * penalty.value
         return -value, -(X.T @ (y - expit(eta)) + c * penalty.gradient)
@@ -485,7 +473,7 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
             x, value, grad, iterations = minimize(negated, x0, lambda _, f: trace.append(-f))
         theta_hat = Theta.from_vector(x, p)
         loglik_hat = evaluator.loglik(theta_hat)
-    except (ModeFindingError, SingularInformationError) as err:
+    except ModeFindingError as err:
         raise FitError(f"objective evaluation failed: {err}") from err
 
     grad_norm = float(np.linalg.norm(grad))

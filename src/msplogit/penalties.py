@@ -7,7 +7,9 @@ that leaves the interior of the parameter space:
   logistic regression with the random effects removed,
   ``1/2 log det(X' W X)`` with ``W = diag(mu (1 - mu))`` and
   ``mu = logistic(X beta)``, from a QR of ``sqrt(W) X``.  Its partial
-  derivatives are globally bounded by ``p max_t |x_ts| / 2``.
+  derivatives are globally bounded by ``p max_t |x_ts| / 2``.  Where
+  ``sqrt(W) X`` loses rank at working precision the block is its limit,
+  -inf, with a NaN gradient.
 * variance parameters: a sum of negative Huber losses over the
   components of psi, whose gradient entries are clamped to [-1, 1].
 
@@ -25,7 +27,6 @@ from .model import ClusteredDataset, Theta, n_psi
 
 __all__ = [
     "PenaltyValue",
-    "SingularInformationError",
     "huber_D",
     "huber_D_prime",
     "variance_penalty",
@@ -33,15 +34,6 @@ __all__ = [
     "scale_factor",
     "composite_penalty",
 ]
-
-
-class SingularInformationError(RuntimeError):
-    """sqrt(W) X lost rank at working precision in ``jeffreys_penalty``.
-
-    Data have passed the check of X against ``model.RANK_RTOL`` already, so
-    this fires only where the weights shrink some rows so far that the rest
-    no longer span p columns, as at the extreme points a line search probes.
-    """
 
 
 @dataclass(frozen=True)
@@ -92,8 +84,11 @@ def jeffreys_penalty(X: np.ndarray, beta: np.ndarray) -> PenaltyValue:
     weighted projection X (X'WX)^{-1} X'W; since the h_t are nonnegative and
     sum to p, every component of the gradient of log det is bounded by
     p max_t |x_ts|.  The weights come from exp(-|eta|), so they are
-    symmetric in eta.  Raises ``SingularInformationError`` unless every
-    |R_jj| > n eps max_j |R_jj|.
+    symmetric in eta.  Unless every |R_jj| > n eps max_j |R_jj|, sqrt(W) X
+    has lost rank at working precision and the value is its limit, -inf,
+    with a NaN gradient; data that pass ``model.RANK_RTOL`` get there only
+    where the weights of all but a few rows underflow, as at the extreme
+    points a line search probes.
     """
     X = np.asarray(X, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -104,7 +99,7 @@ def jeffreys_penalty(X: np.ndarray, beta: np.ndarray) -> PenaltyValue:
     Q, R = np.linalg.qr((np.sqrt(z) / (1.0 + z))[:, None] * X)
     r = np.abs(np.diag(R))
     if r.size < X.shape[1] or not r.min() > X.shape[0] * np.finfo(float).eps * r.max():
-        raise SingularInformationError("weighted design sqrt(W) X is rank deficient")
+        return PenaltyValue(-np.inf, np.full(X.shape[1], np.nan))
     h = np.einsum("tp,tp->t", Q, Q)
     # 1 - 2 mu = -tanh(eta / 2)
     grad = 0.5 * (X.T @ (h * np.tanh(-0.5 * eta)))

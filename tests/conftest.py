@@ -7,7 +7,6 @@ from scipy.special import expit, logsumexp
 
 import msplogit.likelihood as likelihood
 from msplogit.model import ClusteredDataset, Theta
-from msplogit.penalties import SingularInformationError, composite_penalty
 
 
 def stack_clusters(blocks):
@@ -127,26 +126,6 @@ def jeffreys_oracle(X, beta, digits=50):
         h = [w[t] * sum(Xd[t][i] * A[i][p + t] / A[i][i] for i in range(p)) for t in range(n)]
         grad = [sum(h[t] * (1 - 2 * mu[t]) * Xd[t][s] for t in range(n)) / 2 for s in range(p)]
         return float(logdet / 2), np.array([float(g) for g in grad])
-
-
-class _PenaltyWithoutGradient:
-    def __init__(self, value):
-        self.value = value
-
-    @property
-    def gradient(self):
-        raise SingularInformationError("information matrix is singular")
-
-
-def penalty_without_gradient(data, theta):
-    """``composite_penalty`` with a real value and a gradient that raises.
-
-    The error is raised where ``objective_and_gradient`` does not catch
-    it, so it reaches ``fit``.  The real penalty takes its value and
-    gradient from one factorization and does not fail between them; this
-    fake stands for any penalty failure.
-    """
-    return _PenaltyWithoutGradient(composite_penalty(data, theta).value)
 
 
 @pytest.fixture

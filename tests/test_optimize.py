@@ -25,7 +25,6 @@ from msplogit.simulate import simulate_responses
 from conftest import (
     degenerate_slope_dataset,
     make_dataset,
-    penalty_without_gradient,
     separation_dataset,
     stack_clusters,
 )
@@ -310,6 +309,17 @@ class TestObjective:
         assert ml_vals[-1] < 1e-10  # supremum is total mass one
         assert mspl_vals[-1] < mspl_vals[1]
 
+    def test_minus_infinity_where_the_penalty_loses_rank(self):
+        # |eta| > 745 on every row: every Jeffreys weight underflows, so
+        # sqrt(W) X has rank 0 while the likelihood stays finite.
+        data = make_dataset(k=4, n_i=5, p=2, seed=12, beta=[0.2, 0.4], psi=[-0.2])
+        theta = Theta(np.array([800.0, 0.0]), np.array([-0.2]))
+        ml = objective_and_gradient(data, theta, FitOptions(method="ml", quadrature=25))
+        value, grad = objective_and_gradient(data, theta, FitOptions(method="mspl", quadrature=25))
+        assert np.isfinite(ml[0]) and np.isfinite(ml[1]).all()
+        assert value == -np.inf
+        assert np.isnan(grad[:2]).all()
+
 
 class TestFit:
     def test_balanced_single_cluster_against_grid_search(self):
@@ -446,20 +456,37 @@ class TestFit:
         assert result.converged
         assert result.evaluations == len(calls) >= result.iterations + 1
 
-    @pytest.mark.parametrize("failure", ["likelihood_gradient", "penalty_gradient"])
+    @pytest.mark.parametrize("failure", ["likelihood_gradient", "likelihood_gradient_in_line_search"])
     def test_gradient_failures_raise_fit_error(self, monkeypatch, failure):
-        if failure == "likelihood_gradient":
-            evaluate = LoglikEvaluator._evaluate
+        # The first call is at the start; later ones are line-search trials.
+        evaluate = LoglikEvaluator._evaluate
+        calls = []
 
-            def nan_gradient(self, theta, grad):
-                return evaluate(self, theta, grad)[0], np.full(theta.dim, np.nan)
+        def nan_gradient(self, theta, grad):
+            value, gradient = evaluate(self, theta, grad)
+            calls.append(theta)
+            if failure == "likelihood_gradient" or len(calls) > 1:
+                gradient = np.full(theta.dim, np.nan)
+            return value, gradient
 
-            monkeypatch.setattr(LoglikEvaluator, "_evaluate", nan_gradient)
-        else:
-            monkeypatch.setattr(optimize, "composite_penalty", penalty_without_gradient)
+        monkeypatch.setattr(LoglikEvaluator, "_evaluate", nan_gradient)
         data = make_dataset(k=4, n_i=5, p=2, seed=12, beta=[0.2, 0.4], psi=[-0.2])
         with pytest.raises(FitError):
             fit(data, FitOptions(method="mspl", quadrature=25))
+        assert len(calls) == (1 if failure == "likelihood_gradient" else 2)
+
+    def test_start_at_minus_infinity_returns_unconverged_result(self):
+        # The objective is -inf at the start (every Jeffreys weight
+        # underflows), so BFGS takes no step and the fit reports it.
+        data = make_dataset(k=4, n_i=5, p=2, seed=12, beta=[0.2, 0.4], psi=[-0.2])
+        start = Theta(np.array([800.0, 0.0]), np.array([-0.2]))
+        result = fit(data, FitOptions(method="mspl", quadrature=25, start=start))
+        assert not result.converged
+        assert (result.iterations, result.evaluations) == (0, 1)
+        assert result.penalized == -np.inf and np.isfinite(result.loglik)
+        assert np.isnan(result.grad_norm)
+        assert np.array_equal(result.theta.as_vector(), start.as_vector())
+        assert result.objective_trace.size == 0
 
     def test_parameter_names(self):
         data = make_dataset(k=2, n_i=4, p=2, q=2, seed=0)

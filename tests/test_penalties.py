@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from msplogit.likelihood import LoglikEvaluator, gauss_hermite_rule
 from msplogit.model import Theta
 from msplogit.optimize import numeric_gradient
 from msplogit.penalties import (
-    SingularInformationError,
     composite_penalty,
     huber_D,
     huber_D_prime,
@@ -107,10 +108,19 @@ class TestJeffreysPenalty:
             bound = p * np.abs(X).max(axis=0)
             assert (np.abs(grad_logdet) <= bound + 1e-12).all()
 
-    def test_rank_deficiency_raises(self):
-        X = np.column_stack([np.ones(6), np.ones(6)])
-        with pytest.raises(SingularInformationError):
-            jeffreys_penalty(X, np.zeros(2))
+    def test_rank_deficiency_is_minus_infinity(self):
+        # Two equal columns leave |R_22| ~ 1e-16; at |eta| > 745 on every
+        # row each weight underflows to zero, and with it all of R.
+        equal = np.column_stack([np.ones(6), np.ones(6)])
+        spread = np.column_stack([np.ones(6), np.linspace(-1.0, 1.0, 6)])
+        beta = np.array([800.0, 40.0])
+        assert np.abs(spread @ beta).min() > 745.0
+        for X, b in ((equal, np.zeros(2)), (spread, beta)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pv = jeffreys_penalty(X, b)
+            assert pv.value == -np.inf
+            assert pv.gradient.shape == (2,) and np.isnan(pv.gradient).all()
 
     def test_symmetric_in_eta(self):
         # w(eta) = w(-eta) and 1 - 2 mu is odd, so flipping beta keeps

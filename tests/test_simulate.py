@@ -5,7 +5,7 @@ from scipy.special import expit
 import msplogit.inference as inference
 import msplogit.optimize as optimize
 import msplogit.simulate as simulate
-from msplogit.likelihood import ModeFindingError
+from msplogit.likelihood import LoglikEvaluator, ModeFindingError
 from msplogit.model import ClusteredDataset, Theta
 from msplogit.optimize import FitOptions
 from msplogit.simulate import (
@@ -18,7 +18,7 @@ from msplogit.simulate import (
     simulate_responses,
 )
 
-from conftest import make_dataset, penalty_without_gradient, separation_dataset
+from conftest import make_dataset, separation_dataset
 
 
 def _rng(seed=0):
@@ -219,8 +219,13 @@ class TestRunStudy:
         records = run_replication(small_design(R=1, methods=methods), 0)
         assert [record.reasons == {"exception"} for record in records] == [True, False, True]
 
-    def test_failed_penalty_gradient_is_an_exception_record(self, monkeypatch):
-        monkeypatch.setattr(optimize, "composite_penalty", penalty_without_gradient)
+    def test_failed_likelihood_gradient_is_an_exception_record(self, monkeypatch):
+        evaluate = LoglikEvaluator._evaluate
+
+        def nan_gradient(self, theta, grad):
+            return evaluate(self, theta, grad)[0], np.full(theta.dim, np.nan)
+
+        monkeypatch.setattr(LoglikEvaluator, "_evaluate", nan_gradient)
         [record] = run_replication(small_design(R=1), 0)
         assert record.reasons == {"exception"}
         assert np.isnan(record.estimates).all()
