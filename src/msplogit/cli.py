@@ -180,19 +180,10 @@ def _fmt_list(values) -> str:
 
 def _config_lines(config: RunConfig) -> list[str]:
     lines = ["[run]"]
-    lines.append(f"command = {config.command}")
-    lines.append(f"data = {config.data}")
-    lines.append(f"response = {config.response}")
-    lines.append(f"fixed = {','.join(config.fixed)}")
-    lines.append(f"random = {','.join(config.random)}")
-    lines.append(f"cluster = {config.cluster}")
-    lines.append(f"intercept = {_fmt(config.intercept)}")
-    lines.append(f"method = {config.method}")
-    lines.append(f"approx = {config.approx}")
-    lines.append(f"quadrature = {config.quadrature}")
-    lines.append(f"beta_max = {_fmt(config.beta_max)}")
-    lines.append(f"psi_max = {_fmt(config.psi_max)}")
-    lines.append(f"se_max = {_fmt(config.se_max)}")
+    for key in ("command", "data", "response", "fixed", "random", "cluster", "intercept",
+                "method", "approx", "quadrature", "beta_max", "psi_max", "se_max"):
+        value = getattr(config, key)
+        lines.append(f"{key} = {_fmt_list(value) if isinstance(value, list) else _fmt(value)}")
     return lines
 
 

@@ -125,37 +125,19 @@ class QuadratureRule:
 
 @lru_cache(maxsize=None, typed=True)  # typed: 100.0 must not hit the rule of 100
 def gauss_hermite_rule(Q: int) -> QuadratureRule:
-    """Gauss-Hermite rule with Q nodes via the Golub-Welsch eigenproblem.
+    """Gauss-Hermite rule with Q nodes, from ``numpy.polynomial.hermite.hermgauss``.
 
-    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
-    matrix with off-diagonal entries sqrt(i/2), taken as a dense matrix.
-    The weights follow from the same construction through the
-    orthonormal-polynomial identity w_m = 1 / sum_j p_j(x_m)^2, by the
-    three-term recurrence (the squared-first-eigenvector-component form
-    underflows for the extreme nodes of large rules).  Symmetry about
-    zero is enforced exactly by averaging each node with its mirror image.
-
-    Each rule is built once per Q and the same object is returned to
-    every caller, so its arrays are read-only.
+    numpy takes the nodes from the eigenvalues of the symmetric companion
+    matrix, refines them by one Newton step, and makes nodes and weights
+    exactly symmetric about zero.  Each rule is built once per Q and the
+    same object is returned to every caller, so its arrays are read-only.
     """
+    # Imported here: at module level it would add to every ``import msplogit``.
+    from numpy.polynomial.hermite import hermgauss
+
     if not (1 <= operator.index(Q) <= MAX_QUADRATURE):
         raise ValueError(f"quadrature size must be in [1, {MAX_QUADRATURE}], got {Q}")
-    if Q == 1:
-        nodes, weights = np.zeros(1), np.array([np.sqrt(np.pi)])
-    else:
-        off = np.sqrt(np.arange(1, Q) / 2.0)
-        nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-        nodes = 0.5 * (nodes - nodes[::-1])
-        if Q % 2 == 1:
-            nodes[Q // 2] = 0.0
-        p_prev = np.zeros(Q)
-        p = np.full(Q, np.pi ** -0.25)
-        total = p * p
-        for j in range(1, Q):
-            p, p_prev = (nodes * p - np.sqrt((j - 1) / 2.0) * p_prev) / np.sqrt(j / 2.0), p
-            total += p * p
-        weights = 1.0 / total
-        weights = 0.5 * (weights + weights[::-1])
+    nodes, weights = hermgauss(Q)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes, weights)
@@ -181,8 +163,7 @@ def _softplus_logistic(eta: np.ndarray):
 
 def _exponent_at_zero(data: ClusteredDataset, xb: np.ndarray) -> np.ndarray:
     """Each cluster's exponent at v = 0, bit for bit as the scales' ``state`` gives it."""
-    softplus = np.maximum(xb, 0.0) + np.log1p(np.exp(-np.abs(xb)))
-    return _segsum(data.y * xb - softplus, data.row_offsets)
+    return _segsum(data.y * xb - _softplus_logistic(xb)[0], data.row_offsets)
 
 
 def _q1_scale(sigma: float):

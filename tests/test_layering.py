@@ -7,10 +7,13 @@ exists.  ``datasets`` does not import ``cli``: the command line sits
 above the data layer.  No module imports scipy, which is a test
 dependency only: importing it would cost every process more than
 numpy does.  Every name the benchmark's tracer wraps exists, so a
-rename shows here rather than as a crashed benchmark run.
+rename shows here rather than as a crashed benchmark run.  Every
+exception class the package defines is raised somewhere in it, so no
+handler waits for an error that cannot happen.
 """
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import os
@@ -167,3 +170,47 @@ def test_benchmark_trace_targets_exist(monkeypatch):
     targets = tracer.program_targets(msplogit)
     missing = [f"{t.owner.__name__}.{t.attr}" for t in targets if not hasattr(t.owner, t.attr)]
     assert targets and not missing, missing
+
+
+BUILTIN_EXCEPTIONS = {
+    name for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException)
+}
+
+
+def _unraised_exceptions(paths):
+    """Exception classes defined in ``paths`` that no ``raise`` statement there names."""
+    defined, raised = [], set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and (base.id in defined or base.id in BUILTIN_EXCEPTIONS)
+                for base in node.bases
+            ):
+                defined.append(node.name)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return [name for name in defined if name not in raised]
+
+
+def test_every_exception_class_is_raised():
+    unraised = _unraised_exceptions(sorted(PACKAGE_DIR.glob("*.py")))
+    assert not unraised, unraised
+
+
+def test_guard_catches_unraised_exceptions(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "from . import errors\n"
+        "class Used(ValueError):\n    pass\n"
+        "class Unused(RuntimeError):\n    pass\n"
+        "class Sub(Used):\n    pass\n"
+        "class NotAnError(dict):\n    pass\n"
+        "def f(x):\n"
+        "    if x:\n        raise Used('x')\n"
+        "    try:\n        g()\n    except Unused:\n        raise\n"
+        "    raise errors.Sub\n",
+        encoding="utf-8",
+    )
+    assert _unraised_exceptions([source]) == ["Unused"]

@@ -3,9 +3,8 @@ import warnings
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
-from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize
-from scipy.special import expit, logsumexp
+from scipy.special import expit, logsumexp, roots_hermite
 
 import msplogit.likelihood as likelihood
 from msplogit.likelihood import (
@@ -56,19 +55,9 @@ class TestGaussHermiteRule:
 
     @pytest.mark.parametrize("Q", [2, 3, 20, 100, 199, 200])
     def test_matches_tridiagonal_eigensolver_construction(self, Q):
-        # The same Golub-Welsch construction with the nodes from scipy's
-        # tridiagonal eigensolver instead of the dense one.
-        nodes = eigh_tridiagonal(np.zeros(Q), np.sqrt(np.arange(1, Q) / 2.0), eigvals_only=True)
-        nodes = 0.5 * (nodes - nodes[::-1])
-        if Q % 2 == 1:
-            nodes[Q // 2] = 0.0
-        p_prev, p = np.zeros(Q), np.full(Q, np.pi ** -0.25)
-        total = p * p
-        for j in range(1, Q):
-            p, p_prev = (nodes * p - np.sqrt((j - 1) / 2.0) * p_prev) / np.sqrt(j / 2.0), p
-            total += p * p
-        weights = 1.0 / total
-        weights = 0.5 * (weights + weights[::-1])
+        # scipy's rule: Golub-Welsch from a tridiagonal eigensolver, with
+        # Newton-refined nodes, up to Q = 150, and an asymptotic expansion above.
+        nodes, weights = roots_hermite(Q)
         rule = gauss_hermite_rule(Q)
         np.testing.assert_allclose(rule.nodes, nodes, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(rule.weights, weights, rtol=1e-12, atol=0.0)
