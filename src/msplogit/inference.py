@@ -1,12 +1,14 @@
 """Wald standard errors, confidence intervals, and contrast transforms.
 
 Standard errors come from the inverse of the negative Hessian of the
-UNPENALIZED approximate log-likelihood at the estimate, taken as the
-symmetrized central-difference Jacobian of its exact gradient (for
-penalized fits too: the penalized and unpenalized estimators share
-their limiting distribution, and this matches how the reported values
-are defined).  Diagonal entries of the inverse that come out negative
-are marked unavailable rather than reported.
+UNPENALIZED approximate log-likelihood at the estimate (for penalized
+fits too: the penalized and unpenalized estimators share their
+limiting distribution, and this matches how the reported values are
+defined).  At q = 1 that Hessian is exact, from the same mode solve
+and quadrature nodes as the gradient; at q >= 2 it is the symmetrized
+central-difference Jacobian of the exact gradient.  Diagonal entries
+of the inverse that come out negative are marked unavailable rather
+than reported.
 
 Because the fixed-effects penalty changes only by an additive constant
 under an invertible re-parameterization beta -> C beta (with design
@@ -89,8 +91,11 @@ def wald_se(data: ClusteredDataset, fit_result: FitResult) -> WaldSE:
     """Standard errors from the negative Hessian of the approximate loglik.
 
     The Hessian is of the unpenalized approximate log-likelihood at the
-    fitted estimate, regardless of the fitting method.  A breakdown of
-    a gradient evaluation raises ``FitError``, as in ``fit``.
+    fitted estimate, regardless of the fitting method: the exact one
+    (``LoglikEvaluator.hessian``) at q = 1, from one mode solve, and the
+    central differences of the exact gradient (``hessian_fd``) at
+    q >= 2.  A breakdown of the mode solve raises ``FitError``, as in
+    ``fit``.
     """
     evaluator = fit_result.options.evaluator(data)
     p = data.p
@@ -99,7 +104,10 @@ def wald_se(data: ClusteredDataset, fit_result: FitResult) -> WaldSE:
         return evaluator.value_and_grad(Theta.from_vector(v, p))[1]
 
     try:
-        neg_H = -hessian_fd(loglik_gradient, fit_result.theta.as_vector())
+        if data.q == 1:
+            neg_H = -evaluator.hessian(fit_result.theta)
+        else:
+            neg_H = -hessian_fd(loglik_gradient, fit_result.theta.as_vector())
     except ModeFindingError as err:
         raise FitError(f"standard-error evaluation failed: {err}") from err
     cond = float(np.linalg.cond(neg_H))

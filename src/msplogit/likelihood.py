@@ -79,6 +79,23 @@ standardized scale and H its negative Hessian at the mode v_hat,
   ``psi_to_chol`` and ``psi_entries`` serve the q >= 2 routine.  The
   Laplace value at q = 1 is the one-node case (x = 0, pi = 1): it runs
   through this routine with the one-node rule.
+
+``LoglikEvaluator.hessian`` gives the exact Hessian at q = 1 from the
+same mode solve and nodes.  In the u = s t scale psi enters only
+through the prior precision e^{-2 psi}.  With kappa = log(s tau), the
+nodes r_m = r_hat + sqrt(2) x_m e^kappa and l_m = log w_m + x_m^2 +
+g(r_m),
+
+    log p_i = kappa - psi + log sum_m exp(l_m) - 1/2 log pi,
+    d2 log p_i / dtheta2 = d2 kappa / dtheta2 + sum_m pi_m d2 l_m / dtheta2
+                           + Cov_pi(d l_m / dtheta).
+
+d2 r_hat / dtheta2 comes from differentiating the mode equation twice,
+and d2 kappa / dtheta2 from the curvature h = -g'' at the mode, with
+the logistic's closed forms -g''' = sum_j w_j (1 - 2 mu_j) z_j^3 and
+-g'''' = sum_j w_j (1 - 6 w_j) z_j^4.  The code writes every u-scale
+derivative in t units (divided by s), so that no term overflows as
+sigma goes to 0.
 """
 
 from __future__ import annotations
@@ -150,6 +167,11 @@ def gauss_hermite_rule(Q: int) -> QuadratureRule:
 
 def _segsum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values, offsets[:-1], axis=0)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Outer products over the last axis, batched over the leading ones."""
+    return a[..., :, None] * b[..., None, :]
 
 
 def _softplus_logistic(eta: np.ndarray):
@@ -306,13 +328,14 @@ def _modes_general(data: ClusteredDataset, xb: np.ndarray, A: np.ndarray, v0=Non
 # ---------------------------------------------------------------------------
 
 
-def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=False):
+def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=False, hessian=False):
     """Per-cluster log masses for q = 1, and with ``grad`` their summed gradient.
 
     ``rule`` is the adaptive quadrature rule.  The Laplace value
     g(t_hat) - 1/2 log hess is computed as the one-node rule, whose only
     node sits at the mode, solved for from ``warm``.  Returns (logprobs,
-    t_hat, gradient, d t_hat / d theta), the last two None without ``grad``.
+    t_hat, gradient, d t_hat / d theta), the last two None without ``grad``;
+    ``hessian`` implies ``grad`` and appends the summed Hessian.
     """
     psi = float(theta.psi[0])
     sigma = float(np.exp(psi))
@@ -359,7 +382,8 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     C = -_segsum((sz * w)[:, None] * E, offs)
     C[:, p] += dlog_s * _segsum(sz * (y - mu), offs) - dratio * t
     dt = C / hess[:, None]
-    dhess = _segsum((sz * sz * w * (1.0 - 2.0 * mu))[:, None] * (E + sz[:, None] * dt[idx]), offs)
+    deta = E + sz[:, None] * dt[idx]  # d eta / d theta at the moving mode
+    dhess = _segsum((sz * sz * w * (1.0 - 2.0 * mu))[:, None] * deta, offs)
     dhess[:, p] += 2.0 * dlog_s * (hess - ratio) + dratio
     dlog_tau = -0.5 * dhess / hess[:, None]
 
@@ -375,7 +399,55 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     c = np.sum(post * slope, axis=1)
     e = np.sqrt(2.0) * tau * np.sum(post * slope * x[None, :], axis=1)
     gradient += c @ dt + (1.0 + e) @ dlog_tau
-    return logprobs, t, gradient, dt
+    if not hessian:
+        return logprobs, t, gradient, dt
+
+    # The Hessian in the u = s t scale, written in t units (module
+    # docstring): V and W are the first and second derivatives of u / s,
+    # and kappa = log(s tau).  First the mode's W, from the mode equation
+    # differentiated twice, and the curvature's second derivative; the
+    # node terms slope_m W_m sum under the shares to c W + e (d2 kappa +
+    # dkappa dkappa').
+    last = np.eye(p + 1)[p]
+    v_mode = dt + _outer(dlog_s * t, last)
+    dkappa = dlog_tau + dlog_s * last
+    deta2 = _outer(deta, deta)
+    skew = w * (1.0 - 2.0 * mu)
+    prior = v_mode - _outer(t, last)
+    w_mode = 2.0 * ratio * (_outer(last, prior) + _outer(prior, last))
+    w_mode = (w_mode - _segsum((sz * skew)[:, None, None] * deta2, offs)) / hess[:, None, None]
+    d2hess = _segsum((sz * sz * w * (1.0 - 6.0 * w))[:, None, None] * deta2, offs)
+    d2hess += _segsum(sz**3 * skew, offs)[:, None, None] * w_mode
+    d2hess[:, p, p] += 4.0 * ratio
+    dkappa2 = _outer(dkappa, dkappa)
+    d2kappa = 2.0 * dkappa2 - 0.5 * d2hess / hess[:, None, None]
+    H = np.sum((1.0 + e)[:, None, None] * d2kappa + e[:, None, None] * dkappa2
+               + c[:, None, None] * w_mode, axis=0)
+
+    # Then the nodes, with V as (k, d, Q): the node curvatures, each
+    # -sum_j w_jm D_jm D_jm' + prior with D_jm = (x_j, 0) + s z_j V_m,
+    # and the covariance of the node scores, under the shares ``post``.
+    shift = (np.sqrt(2.0) * tau)[:, None] * x[None, :]
+    v_nodes = v_mode[:, :, None] + dkappa[:, :, None] * shift[:, None, :]
+    score = slope[:, None, :] * v_nodes
+    node_x = (data.X[:, :, None] * resid[:, None, :]).reshape(data.n, -1)  # (n, p Q): reduceat is
+    score[:, :p] += _segsum(node_x, offs).reshape(-1, p, x.size)  # faster on two axes than three
+    score[:, p] += ratio * nodes**2
+    mean_score = np.sum(post[:, None, :] * score, axis=2, keepdims=True)
+    spread = np.sqrt(post)[:, None, :] * (score - mean_score)
+    pw = post[idx] * mu_nodes * (1.0 - mu_nodes)
+    curv = _segsum(sz[:, None] ** 2 * pw, offs) + ratio * post
+    cross = (data.X * (sz * pw.sum(axis=1))[:, None]).T @ v_mode[idx]
+    cross += (data.X * (scale * (pw @ x))[:, None]).T @ dkappa[idx]
+    tv = np.tensordot(post * nodes, v_nodes, ([0, 1], [0, 2]))
+    H += np.tensordot(spread, spread, ([0, 2], [0, 2]))
+    H -= np.tensordot(curv[:, None, :] * v_nodes, v_nodes, ([0, 2], [0, 2]))
+    H += 2.0 * ratio * (_outer(last, tv) + _outer(tv, last))
+    H[p, p] -= 2.0 * ratio * np.sum(post * nodes**2)
+    H[:p] -= cross
+    H[:, :p] -= cross.T
+    H[:p, :p] -= (data.X * pw.sum(axis=1)[:, None]).T @ data.X
+    return logprobs, t, gradient, dt, 0.5 * (H + H.T)
 
 
 # ---------------------------------------------------------------------------
@@ -525,3 +597,18 @@ class LoglikEvaluator:
         if not np.isfinite(gradient).all():
             raise ModeFindingError(f"non-finite log-likelihood gradient {gradient}")
         return float(logprobs.sum()), gradient
+
+    def hessian(self, theta: Theta) -> np.ndarray:
+        """The exact Hessian in theta of the approximate log-likelihood, at q = 1.
+
+        One mode solve, started as a gradient call's, gives it with the
+        gradient's node stage; the evaluator stores nothing of it.  A
+        non-finite Hessian raises ``ModeFindingError``.
+        """
+        if self.data.q != 1:
+            raise ValueError(f"the exact Hessian supports q = 1 only, got q = {self.data.q}")
+        start = self._start(theta.as_vector())
+        H = _q1_logprobs(self.data, theta, self.rule, start, grad=True, hessian=True)[4]
+        if not np.isfinite(H).all():
+            raise ModeFindingError(f"non-finite log-likelihood Hessian {H}")
+        return H

@@ -17,7 +17,10 @@ the fixed effects alone, with psi = 0.
 
 The gradient tolerance ``GRAD_TOL``, the iteration cap ``MAX_ITER``, the
 approximate-Wolfe tolerance ``WOLFE_EPS`` and the finite-difference step
-``FD_STEP_SCALE`` are constants of this module, not fit options.
+``FD_STEP_SCALE`` are constants of this module, not fit options.  The
+step serves ``hessian_fd``, which gives the standard errors their
+Hessian at q >= 2 only (q = 1 has an exact one), and
+``numeric_gradient``, the tests' reference.
 
 The log-Cholesky encoding of the covariance makes the parameter space
 all of R^d, so the optimization is unconstrained.

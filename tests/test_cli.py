@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-import msplogit.inference as inference
 from msplogit.cli import (
     EXIT_BOUNDARY,
     EXIT_INPUT_ERROR,
@@ -16,7 +15,7 @@ from msplogit.cli import (
     parse_result,
 )
 from msplogit.datasets import culcita, culcita_path
-from msplogit.likelihood import ModeFindingError
+from msplogit.likelihood import LoglikEvaluator, ModeFindingError
 from msplogit.model import DataError
 from msplogit.simulate import REASONS
 
@@ -229,10 +228,10 @@ class TestFitCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_failed_se_step_exits_cleanly(self, tmp_path, capsys, monkeypatch):
-        def failing_hessian(grad, x):
+        def failing_hessian(self, theta):
             raise ModeFindingError("cluster modes did not converge")
 
-        monkeypatch.setattr(inference, "hessian_fd", failing_hessian)
+        monkeypatch.setattr(LoglikEvaluator, "hessian", failing_hessian)
         code = main([
             "fit", "--data", culcita_path(), "--response", "predation",
             "--fixed", "crabs,shrimp,both", "--cluster", "block", "--intercept",

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import ndtri
 
 import msplogit.inference as inference
+import msplogit.likelihood as likelihood
 from msplogit.inference import (
     ContrastMap,
     attach_se,
@@ -12,7 +13,7 @@ from msplogit.inference import (
     wald_ci,
     wald_se,
 )
-from msplogit.likelihood import ModeFindingError
+from msplogit.likelihood import LoglikEvaluator, ModeFindingError
 from msplogit.model import Theta
 from msplogit.optimize import FitError, FitOptions, fit, hessian_fd
 from msplogit.simulate import simulate_responses
@@ -139,15 +140,30 @@ class TestWaldSe:
                        - gradient(x + 2 * e)) / (12 * e[j])
         assert np.linalg.eigvalsh(-0.5 * (H + H.T)).min() < -1e-2
 
-    @pytest.mark.parametrize("case", ["culcita mspl", "culcita ml", "q2"])
-    def test_probes_after_the_first_take_two_passes(self, culcita_full, state_passes, case):
+    @pytest.mark.parametrize("method", ["mspl", "ml"])
+    def test_q1_makes_one_mode_solve(self, culcita_full, state_passes, method):
+        # The exact Hessian comes from the mode solve of one evaluation.
+        result = fit(culcita_full, FitOptions(method=method, quadrature=100))
+        state_passes.clear()
+        wald_se(culcita_full, result)
+        assert len(state_passes) == 1
+
+    def test_q1_matches_central_differences(self, culcita_full):
+        # The exact Hessian against hessian_fd's, the Hessian used at q >= 2.
+        options = FitOptions(method="mspl", quadrature=100)
+        result = fit(culcita_full, options)
+        evaluator = options.evaluator(culcita_full)
+        H = hessian_fd(lambda v: evaluator.value_and_grad(Theta.from_vector(v, 4))[1],
+                       result.theta.as_vector())
+        wald = wald_se(culcita_full, result)
+        assert np.abs(wald.se - np.sqrt(np.diag(np.linalg.inv(-H)))).max() <= 1e-5 * wald.se.max()
+
+    @pytest.mark.parametrize("case", ["q2"])
+    def test_probes_after_the_first_take_two_passes(self, state_passes, case):
         # Each probe of the Hessian starts from the tangent prediction of
         # the probe before it, O(h^2) from its modes: one Newton step
         # then meets the mode tolerance.
-        if case == "q2":
-            data, options = degenerate_slope_dataset(), FitOptions(method="mspl")
-        else:
-            data, options = culcita_full, FitOptions(method=case.split()[1], quadrature=100)
+        data, options = degenerate_slope_dataset(), FitOptions(method="mspl")
         result = fit(data, options)
         state_passes.clear()
         wald_se(data, result)
@@ -158,6 +174,17 @@ class TestWaldSe:
         data = make_dataset(k=4, n_i=6, p=2, seed=3, beta=[0.5, -0.8], psi=[0.1])
         result = fit(data, FitOptions(method="mspl", quadrature=30))
 
+        def failing_hessian(self, theta):
+            raise ModeFindingError("cluster modes did not converge")
+
+        monkeypatch.setattr(LoglikEvaluator, "hessian", failing_hessian)
+        with pytest.raises(FitError, match="cluster modes did not converge"):
+            wald_se(data, result)
+
+    def test_q2_mode_failure_in_hessian_raises_fit_error(self, monkeypatch):
+        data = degenerate_slope_dataset()
+        result = fit(data, FitOptions(method="mspl"))
+
         def failing_hessian(grad, x):
             raise ModeFindingError("cluster modes did not converge")
 
@@ -165,11 +192,31 @@ class TestWaldSe:
         with pytest.raises(FitError, match="cluster modes did not converge"):
             wald_se(data, result)
 
-    def test_singular_hessian_all_unavailable(self):
-        # direct check of the inversion guard through a synthetic evaluator
-        from msplogit.inference import COND_LIMIT
+    def test_non_finite_hessian_raises_fit_error(self, monkeypatch):
+        data = make_dataset(k=4, n_i=6, p=2, seed=3, beta=[0.5, -0.8], psi=[0.1])
+        result = fit(data, FitOptions(method="mspl", quadrature=30))
+        q1_logprobs = likelihood._q1_logprobs
 
-        assert COND_LIMIT > 1e10  # sanity: guard is lenient enough for real fits
+        def nan_hessian(*args, **kwargs):
+            out = q1_logprobs(*args, **kwargs)
+            return out[:4] + (np.full_like(out[4], np.nan),)
+
+        monkeypatch.setattr(likelihood, "_q1_logprobs", nan_hessian)
+        with pytest.raises(FitError, match="non-finite log-likelihood Hessian"):
+            wald_se(data, result)
+
+    def test_singular_hessian_all_unavailable(self, monkeypatch):
+        # A rank-one Hessian: every SE is unavailable, with no covariance,
+        # and the condition number is reported.
+        data = make_dataset(k=4, n_i=6, p=2, seed=3, beta=[0.5, -0.8], psi=[0.1])
+        result = fit(data, FitOptions(method="mspl", quadrature=30))
+        a = np.array([1.0, -2.0, 0.5])
+        monkeypatch.setattr(LoglikEvaluator, "hessian", lambda self, theta: -np.outer(a, a))
+        wald = wald_se(data, result)
+        assert not wald.available.any()
+        assert np.isnan(wald.se).all()
+        assert wald.cov is None
+        assert wald.cond > inference.COND_LIMIT
 
 
 class TestAttachSe:

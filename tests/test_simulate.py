@@ -232,10 +232,10 @@ class TestRunStudy:
         assert np.isnan(record.ses).all()
 
     def test_failed_se_step_is_an_exception_record(self, monkeypatch):
-        def failing_hessian(grad, x):
+        def failing_hessian(self, theta):
             raise ModeFindingError("cluster modes did not converge")
 
-        monkeypatch.setattr(inference, "hessian_fd", failing_hessian)
+        monkeypatch.setattr(LoglikEvaluator, "hessian", failing_hessian)
         [record] = run_replication(small_design(R=1), 0)
         assert record.reasons == {"exception"}
         assert np.isnan(record.estimates).all()
