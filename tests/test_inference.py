@@ -153,8 +153,11 @@ class TestWaldSe:
         options = FitOptions(method="mspl", quadrature=100)
         result = fit(culcita_full, options)
         evaluator = options.evaluator(culcita_full)
-        H = hessian_fd(lambda v: evaluator.value_and_grad(Theta.from_vector(v, 4))[1],
-                       result.theta.as_vector())
+
+        def gradient(v):
+            return evaluator.value_and_grad(Theta.from_vector(v, culcita_full.p))[1]
+
+        H = hessian_fd(gradient, result.theta.as_vector())
         wald = wald_se(culcita_full, result)
         assert np.abs(wald.se - np.sqrt(np.diag(np.linalg.inv(-H)))).max() <= 1e-5 * wald.se.max()
 
