@@ -8,7 +8,8 @@ Maximization is BFGS with a strong-Wolfe line search, given the
 objective and its gradient in one call per point.  Both are the
 package's own (``minimize``): BFGS after Nocedal & Wright (2006),
 Numerical Optimization, algorithm 6.1, and the line search as one loop
-of More & Thuente's (1994) trial rules.  Near the optimum, where
+of their algorithms 3.5 and 3.6, whose zoom takes the safeguarded cubic
+through the bracket's ends as its one trial rule.  Near the optimum, where
 value changes sink into the noise of the warm-started mode solves, the
 line search accepts steps by Hager & Zhang's approximate Wolfe
 conditions, so BFGS alone reaches the gradient tolerance.  The same
@@ -63,12 +64,14 @@ FD_STEP_SCALE = EPS ** (1.0 / 3.0)
 # the relative value change below which a step is judged on its slope
 # alone (approximate Wolfe; far above the 1e-13 to 1e-11 value noise of
 # warm-started mode solves), and the trials allowed while extending the
-# step and while shrinking the bracket.
+# step and while shrinking the bracket, and the least fraction of the
+# bracket's width that keeps a zoom trial off either end.
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 WOLFE_EPS = 1e-10
 BRACKET_STEPS = 10
 ZOOM_STEPS = 10
+SAFEGUARD = 0.1
 
 
 class FitError(RuntimeError):
@@ -88,8 +91,8 @@ class FitOptions:
     approx: "agq" (adaptive quadrature, q = 1 only), "laplace", or
         "auto" (quadrature when q = 1, Laplace otherwise).
     quadrature: node count of the adaptive rule, 1 to ``MAX_QUADRATURE``.
-    start: optional starting point; the default is the penalized
-        fixed-effects-only logistic fit with psi = 0.
+    start: optional starting point; without one, or where the objective
+        is -inf at it, a fit starts from ``default_start``.
     beta_max, psi_max, se_max: positive thresholds (``inf`` allowed)
         above which an estimate or its standard error is flagged as
         atypically large in absolute value; they are diagnostics, not
@@ -283,32 +286,6 @@ def _cubic_min(a, fa, da, b, fb, db):
         return math.nan
 
 
-def _next_trial(x, t, y, overshot):
-    """The next trial step inside a bracket, by More & Thuente's rules.
-
-    ``x`` is the best point before the latest trial ``t`` and ``y`` the
-    far end of the bracket, each (step, value, slope); ``overshot`` says
-    that t is worse than x or fails sufficient decrease.  The candidates
-    are the minimizers of the cubic through x and t and of the quadratic
-    through their values and the slope at x, and the secant root of the
-    slopes; NaN when they give no step.
-    """
-    (ax, fx, dx), (at, ft, dt) = x, t
-    cubic = _cubic_min(ax, fx, dx, at, ft, dt)
-    if overshot:  # stay near x
-        chord = dx + (fx - ft) / (at - ax)
-        quad = ax + 0.5 * dx / chord * (at - ax) if chord else math.nan
-        return cubic if abs(cubic - ax) <= abs(quad - ax) else 0.5 * (cubic + quad)
-    secant = at + dt / (dt - dx) * (ax - at) if dt != dx else math.nan
-    if dt * dx < 0.0:  # the slope changed sign between x and t
-        return cubic if abs(cubic - at) > abs(secant - at) else secant
-    if abs(dt) < abs(dx):
-        step = cubic if abs(cubic - at) < abs(secant - at) else secant
-        limit = at + 0.66 * (y[0] - at)
-        return min(step, limit) if at < y[0] else max(step, limit)
-    return _cubic_min(at, ft, dt, *y)
-
-
 def _wolfe_step(fun, x, direction, f0, g0, f_prev):
     """A step along ``direction`` meeting the strong Wolfe conditions.
 
@@ -320,28 +297,27 @@ def _wolfe_step(fun, x, direction, f0, g0, f_prev):
     falls below the noise in the objective's value, while the slope
     still tells a good step from a bad one.
 
-    One loop runs More & Thuente's (1994, ACM TOMS 20(3)) trial rules.
+    One loop, after Nocedal & Wright's (2006) algorithms 3.5 and 3.6.
     The first step is min(1, 2.02 (f0 - f_prev) / slope), which repeats
     the previous iteration's decrease.  While trials are short
     (sufficient decrease, below the ``best`` trial from the second on,
-    and a negative slope) the step is extended, to the farther of the
-    cubic's minimizer and the secant root of the slope, by 1.1 to 4
-    times the last increase, for at most ``BRACKET_STEPS`` trials.  The
-    first other trial closes a bracket between ``best`` and a ``far``
-    end, which then shrinks at most ``ZOOM_STEPS`` times: trials come
-    from ``_next_trial``, or bisect where it gives none inside the
-    bracket or two trials left it wider than 2/3.  A non-finite value
-    counts as too long.  Gives up once no step in the bracket can
-    change the value beyond rounding.  Returns (step, value, gradient),
-    or None.
+    and a negative slope) the step grows by 4 times the last increase,
+    for at most ``BRACKET_STEPS`` trials.  The first other trial closes
+    a bracket between ``best`` and a ``far`` end, which then shrinks at
+    most ``ZOOM_STEPS`` times.  Each zoom trial minimizes the cubic
+    through the two ends' values and slopes, clamped ``SAFEGUARD`` of
+    the width inside the bracket, or is the midpoint where the cubic
+    has none.  The clamp keeps a cubic that lost its digits to a huge
+    value from collapsing the bracket onto an end.  A non-finite value
+    counts as too long.  Gives up once no step in the bracket can change
+    the value beyond rounding.  Returns (step, value, gradient), or None.
     """
     slope0 = float(g0 @ direction)
     if not slope0 < 0.0:
         return None
     f_flat = f0 + WOLFE_EPS * abs(f0)
     step = min(1.0, 2.02 * (f0 - f_prev) / slope0) if f0 < f_prev else 1.0
-    best, far = (0.0, f0, slope0), None
-    trials, widths = BRACKET_STEPS, [math.inf, math.inf]
+    best, far, trials = (0.0, f0, slope0), None, BRACKET_STEPS
     for i in itertools.count():
         f, g = fun(x + step * direction)
         f, d = float(f), float(g @ direction)
@@ -353,27 +329,22 @@ def _wolfe_step(fun, x, direction, f0, g0, f_prev):
             far, trials = best, i + 1 + ZOOM_STEPS
         if i + 1 == trials:
             return None
+        trial = (step, f, d)
         if short:
-            guess = math.inf
-            if d > best[2]:
-                cubic = _cubic_min(*best, step, f, d)
-                secant = step + d * (step - best[0]) / (best[2] - d)
-                guess = max(secant, cubic if cubic > step else guess)
-            width, best = step - best[0], (step, f, d)
-            step = min(max(guess, step + 1.1 * width), step + 4.0 * width)
+            step, best = step + 4.0 * (step - best[0]), trial
             continue
-        trial, overshot = (step, f, d), not (armijo and f < best[1])
-        step = _next_trial(best, trial, far, overshot)
-        if overshot:
+        if not (armijo and f < best[1]):
             far = trial
         else:
             far, best = (best if d * best[2] < 0.0 else far), trial
-        left, right = min(best[0], far[0]), max(best[0], far[0])
-        widths.append(right - left)
-        if widths[-1] * -slope0 <= EPS * abs(f0):
+        left, right = sorted((best[0], far[0]))
+        width = right - left
+        if width * -slope0 <= EPS * abs(f0):
             return None
-        if not left < step < right or widths[-1] > 0.66 * widths[-3]:
+        step = _cubic_min(*best, *far)
+        if math.isnan(step):
             step = 0.5 * (left + right)
+        step = min(max(step, left + SAFEGUARD * width), right - SAFEGUARD * width)
 
 
 def minimize(fun, x0, callback=None):
@@ -454,6 +425,8 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
     Returns a ``FitResult`` in all non-exceptional cases; failure to
     converge is reported through ``converged``, never as an exception.
     A breakdown of the objective or gradient evaluation raises ``FitError``.
+    Where the objective is -inf at ``options.start`` the fit restarts
+    from ``default_start``, and ``evaluations`` counts both starts.
     """
     evaluator = options.evaluator(data)
     p = data.p
@@ -469,11 +442,16 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
         return -value, -grad
 
     trace = []
+
+    def run(start):
+        return minimize(negated, start.as_vector(), lambda _, f: trace.append(-f))
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            x0 = _start_theta(data, options).as_vector()
-            x, value, grad, iterations = minimize(negated, x0, lambda _, f: trace.append(-f))
+            x, value, grad, iterations = run(_start_theta(data, options))
+            if value == math.inf and options.start is not None:
+                x, value, grad, iterations = run(default_start(data))
         theta_hat = Theta.from_vector(x, p)
         loglik_hat = evaluator.loglik(theta_hat)
     except ModeFindingError as err:

@@ -272,6 +272,101 @@ class TestWolfeStep:
         assert value == pytest.approx(0.2**4, rel=1e-12)
         assert grad == pytest.approx([4.0 * 0.2**3], rel=1e-12)
 
+    @staticmethod
+    def zoom_trials(f, steps):
+        """(trial, left, right): each zoom trial and the bracket it was chosen in.
+
+        Replays the bracket from the trials' values and slopes: its ends
+        are the best trial with sufficient decrease and the far end.
+        """
+        f0, slope0 = f(0.0)
+        best, far, out = (0.0, f0, slope0), None, []
+        for i, a in enumerate(steps):
+            value, slope = f(a)
+            if far is not None:
+                out.append((a, *sorted((best[0], far[0]))))
+            armijo = value <= f0 + optimize.WOLFE_C1 * a * slope0
+            if far is None and armijo and (i == 0 or value < best[1]) and slope < 0.0:
+                best = (a, value, slope)
+            elif armijo and value < best[1]:
+                far = best if far is None or slope * best[2] < 0.0 else far
+                best = (a, value, slope)
+            else:
+                far = (a, value, slope)
+        return out
+
+    @staticmethod
+    def safeguarded(trial, left, right):
+        width = right - left
+        return left + optimize.SAFEGUARD * width <= trial <= right - optimize.SAFEGUARD * width
+
+    def test_huge_trial_value_does_not_collapse_the_bracket(self):
+        # exp(44 x) - 45 x: the first trial's value is 1.3e19, where the
+        # cubic through the bracket's ends has lost every digit.
+        line = lambda x: (np.exp(44.0 * x) - 45.0 * x, 44.0 * np.exp(44.0 * x) - 45.0)
+        found, steps = self.search(line)
+        assert line(1.0)[0] > 1e19
+        zoom = self.zoom_trials(line, steps)
+        assert len(zoom) == len(steps) - 1
+        assert all(self.safeguarded(*z) for z in zoom)
+        assert found is not None or len(zoom) == optimize.ZOOM_STEPS
+        if found is not None:
+            step, value, grad = found
+            assert abs(grad[0]) <= optimize.WOLFE_C2 and value <= 1.0
+
+    @given(
+        kind=st.sampled_from(["quartic", "exponential"]),
+        a=st.floats(0.05, 5.0),
+        b=st.floats(-5.0, 5.0),
+        c=st.floats(-5.0, 5.0),
+        d=st.floats(-5.0, -0.05),
+        scale=st.floats(0.1, 45.0),
+        root=st.floats(1e-3, 3.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_steps_and_zoom_trials(self, kind, a, b, c, d, scale, root):
+        # Quartics a x^4 + b x^3 + c x^2 + d x, and exp(s (x - r)) - s x,
+        # whose minimum at r is far below values up to e^45 at x = 1.
+        if kind == "quartic":
+            line = lambda x: (
+                (((a * x + b) * x + c) * x + d) * x,
+                ((4.0 * a * x + 3.0 * b) * x + 2.0 * c) * x + d,
+            )
+        else:
+            line = lambda x: (
+                float(np.exp(scale * (x - root))) - scale * x,
+                scale * float(np.exp(scale * (x - root))) - scale,
+            )
+        f0, slope0 = line(0.0)
+        assume(slope0 < 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            found, steps = self.search(line)
+            zoom = self.zoom_trials(line, steps)
+        assert all(self.safeguarded(*z) for z in zoom)
+        if found is not None:
+            step, value, grad = found
+            assert abs(grad[0]) <= optimize.WOLFE_C2 * abs(slope0)
+            assert value <= f0 + optimize.WOLFE_EPS * abs(f0)
+
+    def test_cubic_min_exact_on_a_cubic(self):
+        # x^3 - 3x has its local minimum at x = 1.
+        cubic = lambda x: (x**3 - 3.0 * x, 3.0 * x * x - 3.0)
+        for a, b in [(0.0, 2.0), (2.0, 0.0), (-0.5, 3.0), (1.5, 0.25)]:
+            assert optimize._cubic_min(a, *cubic(a), b, *cubic(b)) == pytest.approx(1.0, abs=1e-14)
+
+    def test_cubic_min_nan_without_a_local_minimizer(self):
+        # x^3 + x rises everywhere.
+        assert np.isnan(optimize._cubic_min(-1.0, -2.0, 4.0, 1.0, 2.0, 4.0))
+
+    @pytest.mark.parametrize("end", [
+        (1.0, np.inf, 1.0), (1.0, -np.inf, -1.0), (1.0, np.inf, np.nan), (1.0, np.nan, 1.0),
+    ])
+    def test_cubic_min_nan_at_a_non_finite_end(self, end):
+        assert np.isnan(optimize._cubic_min(0.0, 0.0, -1.0, *end))
+
+    def test_cubic_min_nan_at_equal_steps(self):
+        assert np.isnan(optimize._cubic_min(1.0, 0.0, -1.0, 1.0, 0.5, 1.0))
+
 
 class TestObjective:
     def test_penalty_additivity(self):
@@ -475,18 +570,38 @@ class TestFit:
             fit(data, FitOptions(method="mspl", quadrature=25))
         assert len(calls) == (1 if failure == "likelihood_gradient" else 2)
 
-    def test_start_at_minus_infinity_returns_unconverged_result(self):
+    def test_start_at_minus_infinity_falls_back_to_default_start(self):
         # The objective is -inf at the start (every Jeffreys weight
-        # underflows), so BFGS takes no step and the fit reports it.
+        # underflows), so the fit restarts from the default start.
         data = make_dataset(k=4, n_i=5, p=2, seed=12, beta=[0.2, 0.4], psi=[-0.2])
         start = Theta(np.array([800.0, 0.0]), np.array([-0.2]))
+        opts = FitOptions(method="mspl", quadrature=25)
+        assert objective_and_gradient(data, start, opts)[0] == -np.inf
         result = fit(data, FitOptions(method="mspl", quadrature=25, start=start))
-        assert not result.converged
-        assert (result.iterations, result.evaluations) == (0, 1)
-        assert result.penalized == -np.inf and np.isfinite(result.loglik)
-        assert np.isnan(result.grad_norm)
-        assert np.array_equal(result.theta.as_vector(), start.as_vector())
-        assert result.objective_trace.size == 0
+        default = fit(data, opts)
+        assert result.converged
+        assert result.evaluations == default.evaluations + 1
+        assert result.iterations == default.iterations
+        assert np.array_equal(result.theta.as_vector(), default.theta.as_vector())
+        assert (result.penalized, result.loglik) == (default.penalized, default.loglik)
+        assert np.array_equal(result.objective_trace, default.objective_trace)
+
+    def test_far_start_converges(self):
+        # From a start of norm 100, at psi = 78, the second line search
+        # meets a value of -8.9e8 against -3.1e5 at its start.  The cubic's
+        # trial then lost its digits and collapsed the bracket onto the
+        # start, which ended the fit unconverged after one iteration.
+        rng = np.random.default_rng([77, 41])
+        X = np.column_stack([np.ones(16), rng.normal(size=(16, 2))])
+        y = rng.integers(0, 2, 16).astype(float)
+        data = ClusteredDataset(y, X, np.ones((16, 1)), [4, 4, 4, 4])
+        rng.normal(size=4)  # the norm-30 direction, drawn first
+        v = rng.normal(size=4)
+        start = Theta.from_vector(100 * v / np.linalg.norm(v), 3)
+        result = fit(data, FitOptions(method="mspl", quadrature=20, start=start))
+        default = fit(data, FitOptions(method="mspl", quadrature=20))
+        assert result.converged and default.converged
+        assert result.penalized == pytest.approx(default.penalized, abs=1e-12)
 
     def test_parameter_names(self):
         data = make_dataset(k=2, n_i=4, p=2, q=2, seed=0)
