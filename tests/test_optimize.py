@@ -588,9 +588,9 @@ class TestFit:
 
     def test_far_start_converges(self):
         # From a start of norm 100, at psi = 78, the second line search
-        # meets a value of -8.9e8 against -3.1e5 at its start.  The cubic's
-        # trial then lost its digits and collapsed the bracket onto the
-        # start, which ended the fit unconverged after one iteration.
+        # meets a value of -8.9e8 against -3.1e5 at its start.  There the
+        # cubic's trial loses its digits; unclamped, it collapses the
+        # bracket onto the start and ends the fit after one iteration.
         rng = np.random.default_rng([77, 41])
         X = np.column_stack([np.ones(16), rng.normal(size=(16, 2))])
         y = rng.integers(0, 2, 16).astype(float)
