@@ -64,38 +64,30 @@ standardized scale and H its negative Hessian at the mode v_hat,
 
   with a_r the rows of A = Z L, w = mu (1 - mu), and deta_r/dtheta the
   total derivative of the linear predictor at the moving mode.
-* Adaptive quadrature, q = 1, with moving nodes t_m = t_hat + sqrt(2)
-  tau x_m and tau = hess^{-1/2}:
+* Adaptive quadrature, q = 1, in the u = s t scale with s = min(sigma,
+  1), where psi enters g only through the prior precision e^{-2 psi}.
+  With tau = hess^{-1/2} in the t scale, kappa = log(s tau), the nodes
+  r_m = r_hat + sqrt(2) x_m e^kappa and l_m = log w_m + x_m^2 + g(r_m),
 
-      d log p_i / d theta = d log tau / d theta + d log(s / sigma) / d theta
-          + sum_m pi_m [dg/dtheta (t_m) + g'(t_m) (dt_hat/dtheta
-                        + sqrt(2) x_m tau d log tau / d theta)],
+      log p_i = kappa - psi + log sum_m exp(l_m) - 1/2 log pi,
+      d log p_i / dtheta = d kappa / dtheta - e_psi + sum_m pi_m d l_m / dtheta,
+      d2 log p_i / dtheta2 = d2 kappa / dtheta2 + sum_m pi_m d2 l_m / dtheta2
+                             + Cov_pi(d l_m / dtheta),
 
-  where pi_m is node m's share of the cluster's quadrature sum and s =
-  min(sigma, 1) the integration scale.  In the t scale psi enters g
-  through s (eta = x'beta + s z t) and the prior curvature ratio =
-  (s / sigma)^2.  ``_q1_scale`` gives both with their derivatives in
-  psi, so one formula holds on either side of sigma = 1, as
-  ``psi_to_chol`` and ``psi_entries`` serve the q >= 2 routine.  The
+  where pi_m is node m's share of the cluster's quadrature sum, e_psi
+  the unit vector of psi, and d l_m / dtheta = dg/dtheta (r_m) + g'(r_m)
+  (d r_hat / dtheta + sqrt(2) x_m e^kappa d kappa / dtheta).  The
   Laplace value at q = 1 is the one-node case (x = 0, pi = 1): it runs
   through this routine with the one-node rule.
-
-``LoglikEvaluator.hessian`` gives the exact Hessian at q = 1 from the
-same mode solve and nodes.  In the u = s t scale psi enters only
-through the prior precision e^{-2 psi}.  With kappa = log(s tau), the
-nodes r_m = r_hat + sqrt(2) x_m e^kappa and l_m = log w_m + x_m^2 +
-g(r_m),
-
-    log p_i = kappa - psi + log sum_m exp(l_m) - 1/2 log pi,
-    d2 log p_i / dtheta2 = d2 kappa / dtheta2 + sum_m pi_m d2 l_m / dtheta2
-                           + Cov_pi(d l_m / dtheta).
-
-d2 r_hat / dtheta2 comes from differentiating the mode equation twice,
-and d2 kappa / dtheta2 from the curvature h = -g'' at the mode, with
-the logistic's closed forms -g''' = sum_j w_j (1 - 2 mu_j) z_j^3 and
--g'''' = sum_j w_j (1 - 6 w_j) z_j^4.  The code writes every u-scale
-derivative in t units (divided by s), so that no term overflows as
-sigma goes to 0.
+  ``LoglikEvaluator.hessian`` gives the second derivative from the same
+  mode solve and nodes.  There d2 r_hat / dtheta2 comes from
+  differentiating the mode equation twice, and d2 kappa / dtheta2 from
+  the curvature h = -g'' at the mode, with the logistic's closed forms
+  -g''' = sum_j w_j (1 - 2 mu_j) z_j^3 and -g'''' = sum_j w_j (1 - 6
+  w_j) z_j^4.  The modes are solved for in t, whose prior curvature is
+  ratio = (s / sigma)^2 (``_q1_scale``), and the code writes every
+  u-scale derivative in t units (divided by s), so that no term
+  overflows as sigma goes to 0 or to infinity.
 """
 
 from __future__ import annotations
@@ -188,21 +180,20 @@ def _exponent_at_zero(data: ClusteredDataset, xb: np.ndarray) -> np.ndarray:
     return _segsum(data.y * xb - _softplus_logistic(xb)[0], data.row_offsets)
 
 
-def _q1_scale(sigma: float):
-    """Integration scale for the scalar random effect, and its derivatives.
+def _q1_scale(psi: float):
+    """Integration scale for the scalar random effect at psi = log sigma.
 
     The substitution u = s t with s = min(sigma, 1) keeps the inner
     problem conditioned at both extremes: for small sigma the prior
     curvature is exactly one, for huge sigma the gradient is evaluated
-    at unit scale instead of being amplified by sigma.  ``ratio`` is
-    (s/sigma)^2, the prior curvature in the t scale.  Returns (s, ratio,
-    d log s / d psi, d ratio / d psi) with psi = log sigma: the
-    derivatives are (1, 0) for sigma <= 1 and (0, -2 ratio) above.
+    at unit scale instead of being amplified by sigma.  Returns (s,
+    ratio, log s), with ratio = (s / sigma)^2 the prior curvature in the
+    t scale: (e^psi, 1, psi) for psi <= 0 and (1, e^{-2 psi}, 0) above.
+    sigma itself is never formed, so neither end overflows.
     """
-    if sigma <= 1.0:
-        return sigma, 1.0, 1.0, 0.0
-    ratio = np.exp(-2.0 * np.log(sigma))
-    return 1.0, ratio, 0.0, -2.0 * ratio
+    if psi <= 0.0:
+        return np.exp(psi), 1.0, psi
+    return 1.0, np.exp(-2.0 * psi), 0.0
 
 
 def _damped_newton(state, newton_step, v0: np.ndarray, g_zero: np.ndarray):
@@ -258,7 +249,7 @@ def _damped_newton(state, newton_step, v0: np.ndarray, g_zero: np.ndarray):
     )
 
 
-def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
+def _modes_q1(data: ClusteredDataset, xb: np.ndarray, psi: float, v0=None):
     """All cluster modes at once for q = 1, in the t = u / min(sigma, 1) scale.
 
     Maximizes gt_i(t) = condloglik(xb + s z t) - ratio t^2 / 2 per
@@ -269,7 +260,7 @@ def _modes_q1(data: ClusteredDataset, xb: np.ndarray, sigma: float, v0=None):
     offs = data.row_offsets
     idx = data.row_cluster
     y = data.y
-    s, ratio = _q1_scale(sigma)[:2]
+    s, ratio = _q1_scale(psi)[:2]
     sz = s * data.Z[:, 0]
 
     def state(v_vec):
@@ -328,20 +319,20 @@ def _modes_general(data: ClusteredDataset, xb: np.ndarray, A: np.ndarray, v0=Non
 # ---------------------------------------------------------------------------
 
 
-def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=False, hessian=False):
-    """Per-cluster log masses for q = 1, and with ``grad`` their summed gradient.
+def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, hessian=False):
+    """Per-cluster log masses for q = 1, with their summed gradient.
 
     ``rule`` is the adaptive quadrature rule.  The Laplace value
     g(t_hat) - 1/2 log hess is computed as the one-node rule, whose only
-    node sits at the mode, solved for from ``warm``.  Returns (logprobs,
-    t_hat, gradient, d t_hat / d theta), the last two None without ``grad``;
-    ``hessian`` implies ``grad`` and appends the summed Hessian.
+    node sits at the mode.  The modes are solved for from ``warm``, given
+    in the u scale.  Returns (logprobs, u_hat, gradient, d u_hat / d
+    theta); ``hessian`` appends the summed Hessian.
     """
     psi = float(theta.psi[0])
-    sigma = float(np.exp(psi))
-    s, ratio, dlog_s, dratio = _q1_scale(sigma)
+    s, ratio, log_s = _q1_scale(psi)
     xb = data.X @ theta.beta
-    t, g_mode, hess = _modes_q1(data, xb, sigma, warm)
+    # Where s underflows to zero every u is zero and a warm start says nothing.
+    t, g_mode, hess = _modes_q1(data, xb, psi, warm / s if warm is not None and s > 0.0 else None)
     log_tau = -0.5 * np.log(hess)
     tau = np.exp(log_tau)
 
@@ -349,8 +340,7 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     idx = data.row_cluster
     y = data.y
     sz = s * data.Z[:, 0]
-    szt = sz * t[idx]
-    base = xb + szt
+    base = xb + sz * t[idx]
     x = rule.nodes
     logw = np.log(rule.weights)
     scale = sz * (np.sqrt(2.0) * tau)[idx]
@@ -364,53 +354,46 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     terms = np.exp(log_terms - peak[:, None])
     total = terms.sum(axis=1)
     log_int_rel = peak + np.log(total)
-    log_s_over_sigma = (dlog_s - 1.0) * psi  # log s = dlog_s psi on both sides of sigma = 1
-    logprobs = g_mode + log_tau + log_int_rel + log_s_over_sigma - 0.5 * np.log(np.pi)
+    logprobs = g_mode + log_tau + log_int_rel + (log_s - psi) - 0.5 * np.log(np.pi)
     post = terms / total[:, None]
-    if not grad:
-        return logprobs, t, None, None
 
-    # At the mode: d eta / d theta at fixed t (columns beta, then psi),
-    # the mode's derivative by the implicit-function theorem, and that
-    # of log tau = -1/2 log hess, with hess = s^2 Z'WZ + ratio.
+    # At the mode, in the u = s t scale and t units (module docstring):
+    # V = (d u_hat / d theta) / s by the implicit-function theorem, d eta
+    # / d theta at the moving mode, and d kappa for kappa = log(s tau) =
+    # -1/2 log(hess / s^2), with hess = s^2 Z'WZ + ratio.
     p = data.p
     mu = expit(base)
     w = mu * (1.0 - mu)
-    E = np.empty((data.n, p + 1))
-    E[:, :p] = data.X
-    E[:, p] = dlog_s * szt
-    C = -_segsum((sz * w)[:, None] * E, offs)
-    C[:, p] += dlog_s * _segsum(sz * (y - mu), offs) - dratio * t
-    dt = C / hess[:, None]
-    deta = E + sz[:, None] * dt[idx]  # d eta / d theta at the moving mode
-    dhess = _segsum((sz * sz * w * (1.0 - 2.0 * mu))[:, None] * deta, offs)
-    dhess[:, p] += 2.0 * dlog_s * (hess - ratio) + dratio
-    dlog_tau = -0.5 * dhess / hess[:, None]
+    v_mode = np.empty((data.k, p + 1))
+    v_mode[:, :p] = -_segsum((sz * w)[:, None] * data.X, offs)
+    v_mode[:, p] = 2.0 * ratio * t
+    v_mode /= hess[:, None]
+    deta = sz[:, None] * v_mode[idx]
+    deta[:, :p] += data.X
+    dkappa = -0.5 * _segsum((sz * sz * w * (1.0 - 2.0 * mu))[:, None] * deta, offs)
+    dkappa[:, p] += ratio
+    dkappa /= hess[:, None]
 
     # At the nodes t_m = t_hat + sqrt(2) tau x_m, weighted by each node's
-    # share ``post`` of the cluster's integral.
+    # share ``post`` of the cluster's integral; psi enters g at fixed u
+    # only through the prior, at rate ratio t_m^2.
     resid = y[:, None] - mu_nodes
-    dcond = _segsum(sz[:, None] * resid, offs)
-    slope = dcond - ratio * nodes
+    slope = _segsum(sz[:, None] * resid, offs) - ratio * nodes
     gradient = np.empty(p + 1)
     gradient[:p] = data.X.T @ (post[idx] * resid).sum(axis=1)
-    dg_psi = nodes * (dlog_s * dcond - 0.5 * dratio * nodes)  # at fixed t
-    gradient[p] = np.sum(post * dg_psi) + data.k * (dlog_s - 1.0)
+    gradient[p] = ratio * np.sum(post * nodes**2) - data.k
     c = np.sum(post * slope, axis=1)
     e = np.sqrt(2.0) * tau * np.sum(post * slope * x[None, :], axis=1)
-    gradient += c @ dt + (1.0 + e) @ dlog_tau
+    gradient += c @ v_mode + (1.0 + e) @ dkappa
+    out = logprobs, s * t, gradient, s * v_mode
     if not hessian:
-        return logprobs, t, gradient, dt
+        return out
 
-    # The Hessian in the u = s t scale, written in t units (module
-    # docstring): V and W are the first and second derivatives of u / s,
-    # and kappa = log(s tau).  First the mode's W, from the mode equation
-    # differentiated twice, and the curvature's second derivative; the
-    # node terms slope_m W_m sum under the shares to c W + e (d2 kappa +
-    # dkappa dkappa').
+    # The Hessian: W is the second derivative of u / s.  First the mode's
+    # W, from the mode equation differentiated twice, and the curvature's
+    # second derivative; the node terms slope_m W_m sum under the shares
+    # to c W + e (d2 kappa + dkappa dkappa').
     last = np.eye(p + 1)[p]
-    v_mode = dt + _outer(dlog_s * t, last)
-    dkappa = dlog_tau + dlog_s * last
     deta2 = _outer(deta, deta)
     skew = w * (1.0 - 2.0 * mu)
     prior = v_mode - _outer(t, last)
@@ -447,7 +430,7 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
     H[:p] -= cross
     H[:, :p] -= cross.T
     H[:p, :p] -= (data.X * pw.sum(axis=1)[:, None]).T @ data.X
-    return logprobs, t, gradient, dt, 0.5 * (H + H.T)
+    return *out, 0.5 * (H + H.T)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +438,11 @@ def _q1_logprobs(data: ClusteredDataset, theta: Theta, rule, warm=None, grad=Fal
 # ---------------------------------------------------------------------------
 
 
-def _laplace_general(data: ClusteredDataset, theta: Theta, warm=None, grad=False):
-    """Per-cluster Laplace log masses for q >= 2, and with ``grad`` their summed gradient.
+def _laplace_general(data: ClusteredDataset, theta: Theta, warm=None):
+    """Per-cluster Laplace log masses for q >= 2, with their summed gradient.
 
     The modes are solved for from ``warm``.  Returns (logprobs, v_hat,
-    gradient, d v_hat / d theta), the last two None without ``grad``.
+    gradient, d v_hat / d theta).
     """
     L = psi_to_chol(theta.psi, theta.q)
     A = data.Z @ L
@@ -470,8 +453,6 @@ def _laplace_general(data: ClusteredDataset, theta: Theta, warm=None, grad=False
     # absorbed here.
     half_logdet = np.log(np.diagonal(np.linalg.cholesky(H), axis1=1, axis2=2)).sum(axis=1)
     logprobs = g - half_logdet
-    if not grad:
-        return logprobs, v, None, None
 
     offs = data.row_offsets
     idx = data.row_cluster
@@ -511,12 +492,14 @@ class LoglikEvaluator:
     objective evaluation is the inner Newton solve for the cluster modes;
     consecutive evaluations during an optimization differ by small
     parameter steps, so the previous modes are excellent starting points.
-    A gradient call starts from the last gradient call's modes moved
-    along their derivative, v_hat + (d v_hat / d theta)(theta' - theta),
-    which is O(|theta' - theta|^2) from its own (predictor-corrector
-    continuation: Allgower & Georg, Introduction to Numerical
-    Continuation Methods, SIAM 2003, ch. 2).  A call at exactly the last
-    theta returns the stored, read-only results without solving.  The
+    Every solve gives the value, the gradient and the modes' derivative
+    in theta, so each call at a new theta starts from the last call's
+    modes (u at q = 1, v at q >= 2) moved along that derivative, v_hat +
+    (d v_hat / d theta)(theta' - theta), which is O(|theta' - theta|^2)
+    from its own (predictor-corrector continuation: Allgower & Georg,
+    Introduction to Numerical Continuation Methods, SIAM 2003, ch. 2).
+    A call at exactly the last theta returns the stored, read-only
+    results without solving.  The
     evaluator is not thread safe, but distinct instances may run
     concurrently.
 
@@ -544,7 +527,7 @@ class LoglikEvaluator:
         self.approx = approx
         self.rule = rule
         # The last solve: its theta, modes, results, and the modes'
-        # derivative in theta when it was a gradient call.
+        # derivative in theta.
         self._theta = None
         self._modes = None
         self._logprobs = None
@@ -552,36 +535,27 @@ class LoglikEvaluator:
         self._tangent = None
 
     def _start(self, x: np.ndarray):
-        """The start of a gradient call's mode solve at theta = ``x``."""
-        if self._tangent is None:
-            return self._modes
-        if self.data.q == 1:
-            # The t scale of _q1_scale switches at sigma = 1, where the
-            # tangent is one-sided; across that point the prediction goes.
-            sides = [_q1_scale(float(np.exp(psi)))[2] for psi in (x[-1], self._theta[-1])]
-            if sides[0] != sides[1]:
-                return self._modes
+        """The start of the mode solve at theta = ``x``: the last modes moved along their tangent."""
+        if self._modes is None:
+            return None
         return self._modes + self._tangent @ (x - self._theta)
 
-    def _evaluate(self, theta: Theta, grad: bool):
+    def _evaluate(self, theta: Theta):
         x = theta.as_vector()
-        if np.array_equal(x, self._theta) and (self._gradient is not None or not grad):
-            return self._logprobs, self._gradient
-        warm = self._start(x) if grad else self._modes
-        if self.data.q == 1:
-            out = _q1_logprobs(self.data, theta, self.rule, warm, grad)
-        else:
-            out = _laplace_general(self.data, theta, warm, grad)
-        for result in out:
-            if result is not None:
+        if not np.array_equal(x, self._theta):
+            if self.data.q == 1:
+                out = _q1_logprobs(self.data, theta, self.rule, self._start(x))
+            else:
+                out = _laplace_general(self.data, theta, self._start(x))
+            for result in out:
                 result.setflags(write=False)
-        self._logprobs, self._modes, self._gradient, self._tangent = out
-        self._theta = x
+            self._logprobs, self._modes, self._gradient, self._tangent = out
+            self._theta = x
         return self._logprobs, self._gradient
 
     def cluster_logprobs(self, theta: Theta) -> np.ndarray:
         """Per-cluster log probability masses, each in (-inf, 0]; their sum is ``loglik``."""
-        return self._evaluate(theta, False)[0]
+        return self._evaluate(theta)[0]
 
     def loglik(self, theta: Theta) -> float:
         return float(self.cluster_logprobs(theta).sum())
@@ -593,7 +567,7 @@ class LoglikEvaluator:
         from the same warm state.  A non-finite gradient raises
         ``ModeFindingError``.
         """
-        logprobs, gradient = self._evaluate(theta, True)
+        logprobs, gradient = self._evaluate(theta)
         if not np.isfinite(gradient).all():
             raise ModeFindingError(f"non-finite log-likelihood gradient {gradient}")
         return float(logprobs.sum()), gradient
@@ -608,7 +582,7 @@ class LoglikEvaluator:
         if self.data.q != 1:
             raise ValueError(f"the exact Hessian supports q = 1 only, got q = {self.data.q}")
         start = self._start(theta.as_vector())
-        H = _q1_logprobs(self.data, theta, self.rule, start, grad=True, hessian=True)[4]
+        H = _q1_logprobs(self.data, theta, self.rule, start, hessian=True)[4]
         if not np.isfinite(H).all():
             raise ModeFindingError(f"non-finite log-likelihood Hessian {H}")
         return H

@@ -9,7 +9,9 @@ dependency only: importing it would cost every process more than
 numpy does.  Every name the benchmark's tracer wraps exists, so a
 rename shows here rather than as a crashed benchmark run.  Every
 exception class the package defines is raised somewhere in it, so no
-handler waits for an error that cannot happen.
+handler waits for an error that cannot happen.  Every module-level
+private function and upper-case constant is used somewhere in the
+package, so a simplification cannot leave a dead helper behind.
 """
 
 import ast
@@ -19,6 +21,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import msplogit
@@ -214,3 +217,60 @@ def test_guard_catches_unraised_exceptions(tmp_path):
         encoding="utf-8",
     )
     assert _unraised_exceptions([source]) == ["Unused"]
+
+
+def _names_used(node):
+    """Counts of the names a node loads and the attributes it takes."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) or isinstance(sub, ast.Attribute)
+    )
+
+
+def _unreferenced_definitions(paths):
+    """Module-level private functions and upper-case constants that no other code uses.
+
+    A use is a name, or an attribute of that name, anywhere in ``paths``
+    outside the definition itself; a name listed in ``__all__`` only is
+    not used.
+    """
+    defined, used = [], Counter()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used += _names_used(tree)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+                    and not node.name.startswith("__"):
+                defined.append((path.stem, node.name, _names_used(node)[node.name]))
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined += [
+                (path.stem, target.id, 0) for target in targets
+                if isinstance(target, ast.Name) and target.id.isupper()
+            ]
+    return [f"{module}.{name}" for module, name, own in defined if used[name] == own]
+
+
+def test_every_private_function_and_constant_is_used():
+    unused = _unreferenced_definitions(sorted(PACKAGE_DIR.glob("*.py")))
+    assert not unused, unused
+
+
+def test_guard_catches_unreferenced_definitions(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "import numpy as np\n"
+        "__all__ = ['EXPORTED', 'public']\n"
+        "EXPORTED = 1\n"
+        "LIMIT = 2\n"
+        "TOL: float = 1e-8\n"
+        "_lower = 3\n"
+        "def _helper(x):\n    return x * LIMIT\n"
+        "def _dead(x):\n    return _dead(x - 1) if x else 0\n"
+        "def _via_module():\n    return 0\n"
+        "def public(x):\n    return _helper(x) + np.mod.TOL + mod._via_module()\n"
+        "class C:\n    def _method(self):\n        return 0\n",
+        encoding="utf-8",
+    )
+    assert _unreferenced_definitions([source]) == ["mod.EXPORTED", "mod._dead"]

@@ -103,14 +103,11 @@ def _theta(beta, psi):
 def u_modes(data, theta):
     """Per-cluster modes in the u scale from every solver that serves ``data``.
 
-    At q = 1 the quadrature and Laplace paths return t = u / min(sigma, 1);
-    at q >= 2 the Laplace path returns v with u = L v.  Each is (k, q).
+    At q = 1 the quadrature and Laplace paths return u itself; at q >= 2
+    the Laplace path returns v with u = L v.  Each is (k, q).
     """
     if data.q == 1:
-        s = min(float(np.exp(theta.psi[0])), 1.0)
-        t_agq = likelihood._q1_logprobs(data, theta, gauss_hermite_rule(5))[1]
-        t_laplace = likelihood._q1_logprobs(data, theta, gauss_hermite_rule(1))[1]
-        return [s * t_agq[:, None], s * t_laplace[:, None]]
+        return [likelihood._q1_logprobs(data, theta, gauss_hermite_rule(Q))[1][:, None] for Q in (5, 1)]
     v = likelihood._laplace_general(data, theta)[1]
     return [v @ psi_to_chol(theta.psi, theta.q).T]
 
@@ -434,7 +431,7 @@ class TestStackedLaplaceSolver:
         sigma = float(np.exp(log_sigma))
         for _ in range(5):
             xb = culcita_full.X @ (reference_mspl_point.beta + rng.normal(scale=2.0, size=4))
-            t, g_t, hess = likelihood._modes_q1(culcita_full, xb, sigma)
+            t, g_t, hess = likelihood._modes_q1(culcita_full, xb, log_sigma)
             v, g_v, H = likelihood._modes_general(culcita_full, xb, sigma * culcita_full.Z)
             assert np.abs(t - v[:, 0]).max() <= 1e-14
             assert np.abs(g_t - g_v).max() <= 1e-14
@@ -455,7 +452,7 @@ class TestStackedLaplaceSolver:
 
         monkeypatch.setattr(likelihood, "_damped_newton", checking)
         if q == 1:
-            likelihood._modes_q1(data, xb, 0.7)
+            likelihood._modes_q1(data, xb, np.log(0.7))
         else:
             likelihood._modes_general(data, xb, data.Z @ psi_to_chol(np.array([0.3, -0.5, 0.4]), 2))
         assert checked == [True]
@@ -520,19 +517,28 @@ class TestEvaluator:
         with pytest.raises(ValueError):
             LoglikEvaluator(data, "agq")
 
-    def test_repeat_at_the_last_theta_solves_nothing(self, state_passes):
-        data = make_dataset(k=6, n_i=5, p=2, q=2, seed=2)
-        theta = _theta([0.3, -0.2], [0.1, -1.0, 0.2])
-        ev = LoglikEvaluator(data, "laplace")
-        value, grad = ev.value_and_grad(theta)
-        solves = len(state_passes)
-        logprobs = ev.cluster_logprobs(theta)
-        assert ev.value_and_grad(theta) == (value, grad)
-        assert len(state_passes) == solves
-        assert logprobs.sum() == value
-        for array in (logprobs, grad):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+    def test_repeat_at_the_last_theta_solves_nothing(self, culcita_reduced, reference_mspl_point,
+                                                     state_passes):
+        # Every solve stores the value and the gradient, so neither call
+        # order solves again at the same theta, at q = 1 or q = 2.
+        cases = [
+            (make_dataset(k=6, n_i=5, p=2, q=2, seed=2), _theta([0.3, -0.2], [0.1, -1.0, 0.2]),
+             "laplace", None),
+            (culcita_reduced, reference_mspl_point, "agq", gauss_hermite_rule(20)),
+        ]
+        for data, theta, approx, rule in cases:
+            for logprobs_first in (False, True):
+                ev = LoglikEvaluator(data, approx, rule)
+                (ev.cluster_logprobs if logprobs_first else ev.value_and_grad)(theta)
+                solves = len(state_passes)
+                logprobs = ev.cluster_logprobs(theta)
+                value, grad = ev.value_and_grad(theta)
+                assert ev.value_and_grad(theta) == (value, grad)
+                assert len(state_passes) == solves
+                assert logprobs.sum() == value
+                for array in (logprobs, grad):
+                    with pytest.raises(ValueError):
+                        array[0] = 0.0
 
     @pytest.mark.parametrize("case", ["q2", "q1, sigma < 1", "q1, sigma > 1"])
     def test_tangent_prediction_is_second_order(self, culcita_reduced, reference_mspl_point, case):
@@ -557,13 +563,19 @@ class TestEvaluator:
             assert np.abs(ev._start(moved) - fresh._modes).max() <= h**2
             assert np.abs(ev._modes - fresh._modes).max() >= 10 * h**2
 
-    def test_prediction_dropped_across_unit_sigma(self, culcita_reduced, reference_mspl_point):
-        ev = LoglikEvaluator(culcita_reduced, "agq", gauss_hermite_rule(20))
-        ev.value_and_grad(Theta(reference_mspl_point.beta, np.array([-0.01])))
-        below, above = ev._theta.copy(), ev._theta.copy()
-        below[-1], above[-1] = -0.02, 0.01
-        assert not np.array_equal(ev._start(below), ev._modes)
-        assert np.array_equal(ev._start(above), ev._modes)
+    def test_prediction_kept_across_unit_sigma(self, culcita_reduced, reference_mspl_point):
+        # The q = 1 modes and their tangent are kept in u, which is smooth
+        # in psi where sigma crosses 1 and the t scale switches.
+        rule = gauss_hermite_rule(20)
+        for h in (1e-2, 1e-3):
+            ev = LoglikEvaluator(culcita_reduced, "agq", rule)
+            ev.value_and_grad(Theta(reference_mspl_point.beta, np.array([-h / 2])))
+            above = ev._theta.copy()
+            above[-1] = h / 2
+            fresh = LoglikEvaluator(culcita_reduced, "agq", rule)
+            fresh.cluster_logprobs(Theta.from_vector(above, culcita_reduced.p))
+            assert np.abs(ev._start(above) - fresh._modes).max() <= h**2
+            assert np.abs(ev._modes - fresh._modes).max() >= 10 * h**2
 
 
 def stencil_gradient(make_evaluator, theta, h=1e-3):
@@ -610,8 +622,8 @@ class TestValueAndGrad:
 
     @pytest.mark.parametrize("Q", [1, 100])
     def test_q1_continuous_across_unit_sigma(self, culcita_reduced, reference_mspl_point, Q):
-        # psi <= 0 takes the sigma <= 1 derivatives of the integration
-        # scale from _q1_scale, psi = 1e-12 those above.
+        # _q1_scale takes psi <= 0 to the t scale of sigma <= 1 and
+        # psi = 1e-12 to the one above.
         grads = [
             LoglikEvaluator(culcita_reduced, "agq", gauss_hermite_rule(Q))
             .value_and_grad(Theta(reference_mspl_point.beta, np.array([psi])))[1]
@@ -619,6 +631,46 @@ class TestValueAndGrad:
         ]
         assert np.abs(grads[0] - grads[1]).max() <= 1e-9
         assert np.abs(grads[2] - grads[1]).max() <= 1e-9
+
+    def test_q1_where_sigma_under_and_overflows(self, culcita_reduced, reference_mspl_point):
+        # e^psi underflows to 0 at psi = -800 and e^{2 psi} overflows at
+        # psi = 800; neither is ever formed.
+        data, rule = culcita_reduced, gauss_hermite_rule(20)
+        at = lambda psi: Theta(reference_mspl_point.beta, np.array([psi]))  # noqa: E731
+        cold = lambda psi: LoglikEvaluator(data, "agq", rule).value_and_grad(at(psi))  # noqa: E731
+        walk = [-800.0, -700.0, -30.0, -1.0, 0.0, 2.0, 5.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for psis in (walk, walk[::-1]):
+                ev = LoglikEvaluator(data, "agq", rule)
+                for psi in psis:
+                    value, grad = ev.value_and_grad(at(psi))
+                    cold_value, cold_grad = cold(psi)
+                    assert abs(value - cold_value) <= 1e-9 * max(abs(cold_value), 1.0)
+                    assert (np.abs(grad - cold_grad) <= 1e-9 * np.maximum(np.abs(cold_grad), 1.0)).all()
+        eta = data.X @ reference_mspl_point.beta
+        logistic = np.sum(data.y * eta - np.logaddexp(0.0, eta))
+        assert LoglikEvaluator(data, "agq", rule).loglik(at(-800.0)) == pytest.approx(logistic, abs=1e-12)
+        for psi in (300.0, 800.0):
+            value, grad = cold(psi)
+            assert np.isfinite(value) and np.isfinite(grad).all()
+            assert grad[-1] == -data.k
+
+    @pytest.mark.xfail(strict=True, raises=(AssertionError, ModeFindingError),
+                       reason="a warm solve at huge sigma stops on the flat top of all-1 clusters")
+    def test_q1_warm_solves_at_huge_sigma(self, culcita_reduced, reference_mspl_point):
+        # After psi = 5 the predicted modes of the all-1 clusters sit where
+        # mu = 1 exactly and the prior slope is below the mode tolerance, so
+        # the solve stops there: at psi = 300 the value is 39% off and the
+        # psi-gradient -6 against -10; from there psi = 400 raises.
+        data, rule = culcita_reduced, gauss_hermite_rule(20)
+        at = lambda psi: Theta(reference_mspl_point.beta, np.array([psi]))  # noqa: E731
+        ev = LoglikEvaluator(data, "agq", rule)
+        for psi in (5.0, 300.0, 400.0):
+            value, grad = ev.value_and_grad(at(psi))
+            cold_value, cold_grad = LoglikEvaluator(data, "agq", rule).value_and_grad(at(psi))
+            assert value == pytest.approx(cold_value, rel=1e-9)
+            assert grad == pytest.approx(cold_grad, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("log_sigma", [-3.0, 1.0, 4.0])
     @pytest.mark.parametrize("approx", ["agq", "laplace"])
@@ -690,8 +742,8 @@ class TestHessian:
 
     @pytest.mark.parametrize("Q", [1, 100])
     def test_q1_continuous_across_unit_sigma(self, culcita_reduced, reference_mspl_point, Q):
-        # psi <= 0 takes the sigma <= 1 derivatives of the integration
-        # scale from _q1_scale, psi = 1e-12 those above.
+        # _q1_scale takes psi <= 0 to the t scale of sigma <= 1 and
+        # psi = 1e-12 to the one above.
         hessians = [
             LoglikEvaluator(culcita_reduced, "agq", gauss_hermite_rule(Q))
             .hessian(Theta(reference_mspl_point.beta, np.array([psi])))

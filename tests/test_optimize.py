@@ -557,8 +557,8 @@ class TestFit:
         evaluate = LoglikEvaluator._evaluate
         calls = []
 
-        def nan_gradient(self, theta, grad):
-            value, gradient = evaluate(self, theta, grad)
+        def nan_gradient(self, theta):
+            value, gradient = evaluate(self, theta)
             calls.append(theta)
             if failure == "likelihood_gradient" or len(calls) > 1:
                 gradient = np.full(theta.dim, np.nan)

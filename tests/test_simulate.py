@@ -222,8 +222,8 @@ class TestRunStudy:
     def test_failed_likelihood_gradient_is_an_exception_record(self, monkeypatch):
         evaluate = LoglikEvaluator._evaluate
 
-        def nan_gradient(self, theta, grad):
-            return evaluate(self, theta, grad)[0], np.full(theta.dim, np.nan)
+        def nan_gradient(self, theta):
+            return evaluate(self, theta)[0], np.full(theta.dim, np.nan)
 
         monkeypatch.setattr(LoglikEvaluator, "_evaluate", nan_gradient)
         [record] = run_replication(small_design(R=1), 0)
