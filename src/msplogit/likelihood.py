@@ -34,8 +34,9 @@ Every cluster's mode comes from one damped-Newton loop
 (``_damped_newton``).  Each scale gives it only its own state (exponent,
 score, curvature and gradient norm, from one pass over the rows) and
 Newton step: a clipped scalar step at q = 1, a batched solve with a
-capped norm at q >= 2.  Each cluster stops on its own, once converged
-or once stalled at machine precision.
+capped norm at q >= 2.  The driver owns the damping, a step fraction
+of 4^-r after r rejected candidates in a row, and each cluster stops on
+its own, once converged or once stalled at machine precision.
 
 Internally both approximations are evaluated in the standardized scale
 u = L v (so the Gaussian exponent is -||v||^2/2 and the curvature is
@@ -114,7 +115,8 @@ MODE_GRAD_TOL_V = 1e-11  # standardized-scale tolerance of the inner solvers
 # remaining mode error is O(gradient / curvature) and the curvature is huge
 # precisely in the regimes where the stall can happen.
 MODE_GRAD_ESCAPE = 1e-6
-MODE_MAX_ITER = 200
+MODE_MAX_ITER = 200  # state passes per solve, each a candidate for every pending cluster
+MODE_MAX_FAILS = 60  # rejected candidates in a row that stall a cluster at machine precision
 # The standardized mode is O(sqrt(cluster size)); capping the Newton step
 # keeps a single iteration from jumping to an overflow-prone scale when
 # the curvature has underflown.
@@ -201,15 +203,17 @@ def _damped_newton(state, newton_step, v0: np.ndarray, g_zero: np.ndarray):
 
     ``state(v)`` gives, from one pass over the rows, the exponents, their
     gradients, negative Hessians and per-cluster gradient norms, and
-    ``newton_step(grad, curvature, lam)`` the step for Levenberg damping
-    ``lam``; the first axis of every array runs over clusters.  A start
-    ``v0`` from a parameter point at a very different scale can be worse
-    than v = 0, whose exponents are ``g_zero``, so each cluster starts
-    from whichever of the two is better.  Each cluster keeps its own
-    damping factor and stops on its own: once its gradient norm is below
-    ``MODE_GRAD_TOL_V``, or once no damped step increases its exponent
-    (it is then stalled at machine precision).  Each candidate costs one
-    ``state`` call.  Returns (v_hat, g(v_hat), curvature).
+    ``newton_step(grad, curvature)`` the Newton step; the first axis of
+    every array runs over clusters.  A start ``v0`` from a parameter point
+    at a very different scale can be worse than v = 0, whose exponents
+    are ``g_zero``, so each cluster starts from whichever of the two is
+    better.  Each exponent is strictly concave, so its Newton step
+    ascends, and damping is a step fraction: in each pass, one ``state``
+    call, a pending cluster's candidate is its step times 4^-r after r
+    rejected candidates in a row (Boyd & Vandenberghe, Convex
+    Optimization, 2004, sec. 9.5).  Each cluster stops on its own, once
+    its gradient norm is below ``MODE_GRAD_TOL_V`` or once stalled by
+    ``MODE_MAX_FAILS`` rejections.  Returns (v_hat, g(v_hat), curvature).
     """
     v = np.array(v0, dtype=float)
     g, grad, curvature, grad_norm = state(v)
@@ -217,35 +221,29 @@ def _damped_newton(state, newton_step, v0: np.ndarray, g_zero: np.ndarray):
     if worse.any():
         v[worse] = 0.0
         g, grad, curvature, grad_norm = state(v)
-    lam = np.zeros(g.shape)
-    stalled = np.zeros(g.shape, dtype=bool)
+    fails = np.zeros(g.shape, dtype=int)
     for _ in range(MODE_MAX_ITER):
-        pending = ~stalled & (grad_norm >= MODE_GRAD_TOL_V)
+        pending = (fails < MODE_MAX_FAILS) & (grad_norm >= MODE_GRAD_TOL_V)
         if not pending.any():
             break
-        for _ in range(60):
-            step = newton_step(grad, curvature, lam)
-            step[~pending] = 0.0
-            cand = v + step
-            new = state(cand)
-            ok = pending & (new[0] >= g - 1e-12 * (1.0 + np.abs(g)))
-            if np.array_equal(ok, pending):  # clusters not pending did not move
-                v, (g, grad, curvature, grad_norm) = cand, new
-            else:
-                for kept, moved in zip((v, g, grad, curvature, grad_norm), (cand, *new)):
-                    kept[ok] = moved[ok]
-            if lam.any():
-                lam = np.where(ok, np.where(lam > 1e-12, lam / 10.0, 0.0), lam)
-            pending &= ~ok
-            if not pending.any():
-                break
-            lam = np.where(pending, np.maximum(lam * 10.0, 1e-4), lam)
-        stalled |= pending
+        step = newton_step(grad, curvature)
+        step[~pending] = 0.0  # assigned, not masked: on a flat top a step is 0 / 0
+        if fails.any():
+            step = (step.T * 0.25**fails).T
+        cand = v + step
+        new = state(cand)
+        ok = pending & (new[0] >= g - 1e-12 * (1.0 + np.abs(g)))
+        if np.array_equal(ok, pending):  # clusters not pending did not move
+            v, (g, grad, curvature, grad_norm) = cand, new
+        else:
+            for kept, moved in zip((v, g, grad, curvature, grad_norm), (cand, *new)):
+                kept[ok] = moved[ok]
+        fails = np.where(ok, 0, fails + pending)
     if grad_norm.max() < MODE_GRAD_ESCAPE:
         return v, g, curvature
     raise ModeFindingError(
-        f"cluster modes stopped at gradient norm {grad_norm.max():.3g} (target "
-        f"{MODE_GRAD_TOL_V}), with {int(stalled.sum())} of {stalled.size} clusters stalled"
+        f"cluster modes stopped at gradient norm {grad_norm.max():.3g} (target {MODE_GRAD_TOL_V}), "
+        f"with {np.sum(fails >= MODE_MAX_FAILS)} of {fails.size} clusters stalled"
     )
 
 
@@ -271,8 +269,8 @@ def _modes_q1(data: ClusteredDataset, xb: np.ndarray, psi: float, v0=None):
         hess = _segsum(sz * sz * mu * (1.0 - mu), offs) + ratio
         return g, grad, hess, np.abs(grad)
 
-    def newton_step(grad, hess, lam):  # np.clip costs twice this on k-vectors
-        return np.minimum(np.maximum(grad / (hess + lam), -MODE_MAX_STEP), MODE_MAX_STEP)
+    def newton_step(grad, hess):  # np.clip costs twice this on k-vectors
+        return np.minimum(np.maximum(grad / hess, -MODE_MAX_STEP), MODE_MAX_STEP)
 
     start = np.zeros(data.k) if v0 is None else v0
     return _damped_newton(state, newton_step, start, _exponent_at_zero(data, xb))
@@ -305,8 +303,8 @@ def _modes_general(data: ClusteredDataset, xb: np.ndarray, A: np.ndarray, v0=Non
         H = _segsum((mu * (1.0 - mu))[:, None] * AA, offs).reshape(k, q, q) + eye
         return g, grad, H, np.sqrt(np.vecdot(grad, grad))
 
-    def newton_step(grad, H, lam):
-        step = np.linalg.solve(H + lam[:, None, None] * eye, grad[:, :, None])[:, :, 0]
+    def newton_step(grad, H):
+        step = np.linalg.solve(H, grad[:, :, None])[:, :, 0]
         norm = np.sqrt(np.vecdot(step, step))
         return step * (MODE_MAX_STEP / np.maximum(norm, MODE_MAX_STEP))[:, None]
 

@@ -452,8 +452,8 @@ def fit(data: ClusteredDataset, options: FitOptions = FitOptions()) -> FitResult
             x, value, grad, iterations = run(_start_theta(data, options))
             if value == math.inf and options.start is not None:
                 x, value, grad, iterations = run(default_start(data))
-        theta_hat = Theta.from_vector(x, p)
-        loglik_hat = evaluator.loglik(theta_hat)
+            theta_hat = Theta.from_vector(x, p)
+            loglik_hat = evaluator.loglik(theta_hat)
     except ModeFindingError as err:
         raise FitError(f"objective evaluation failed: {err}") from err
 

@@ -309,15 +309,22 @@ def loop_mode_v(y, xb, A, v0=None):
     """Reference inner solver: one cluster at a time, damped Newton.
 
     Maximizes gt(v) = condloglik(xb + A v) - ||v||^2/2 with A = Z L,
-    with the guards of the stacked solver: warm-start rejection against
-    v = 0, the step-norm cap, the acceptance test, the damping factor,
-    the gradient tolerance, the stall escape and ``ModeFindingError``.
+    with the rules of the stacked solver: warm-start rejection against
+    v = 0, the step-norm cap, the acceptance test, the step fraction
+    4^-r after r rejected candidates in a row, the gradient tolerance,
+    the stall after ``MODE_MAX_FAILS`` rejections in a row, at most
+    ``MODE_MAX_ITER`` candidates, the stall escape and
+    ``ModeFindingError``.
     """
     q = A.shape[1]
 
     def g_of(v_vec):
         eta = xb + A @ v_vec
         return float(np.sum(y * eta - np.logaddexp(0.0, eta)) - 0.5 * v_vec @ v_vec)
+
+    def grad_and_curvature(v_vec):
+        mu = expit(xb + A @ v_vec)
+        return A.T @ (y - mu) - v_vec, A.T @ ((mu * (1.0 - mu))[:, None] * A) + np.eye(q)
 
     v = np.zeros(q) if v0 is None else np.array(v0, dtype=float)
     g = g_of(v)
@@ -326,32 +333,24 @@ def loop_mode_v(y, xb, A, v0=None):
         if not g >= g0:
             v = np.zeros(q)
             g = g0
-    lam = 0.0
+    fails = 0
     for _ in range(likelihood.MODE_MAX_ITER):
-        mu = expit(xb + A @ v)
-        grad = A.T @ (y - mu) - v
-        H = A.T @ ((mu * (1.0 - mu))[:, None] * A) + np.eye(q)
-        if np.linalg.norm(grad) < MODE_GRAD_TOL_V:
-            return v, H
-        accepted = False
-        for _ in range(60):
-            step = np.linalg.solve(H + lam * np.eye(q), grad)
-            norm = np.linalg.norm(step)
-            if norm > MODE_MAX_STEP:
-                step = step * (MODE_MAX_STEP / norm)
-            g_new = g_of(v + step)
-            if g_new >= g - 1e-12 * (1.0 + abs(g)):
-                v = v + step
-                g = g_new
-                lam = lam / 10.0 if lam > 1e-12 else 0.0
-                accepted = True
-                break
-            lam = max(lam * 10.0, 1e-4)
-        if not accepted:
+        grad, H = grad_and_curvature(v)
+        if np.linalg.norm(grad) < MODE_GRAD_TOL_V or fails == likelihood.MODE_MAX_FAILS:
             break
-    mu = expit(xb + A @ v)
-    grad = A.T @ (y - mu) - v
-    H = A.T @ ((mu * (1.0 - mu))[:, None] * A) + np.eye(q)
+        step = np.linalg.solve(H, grad)
+        norm = np.linalg.norm(step)
+        if norm > MODE_MAX_STEP:
+            step = step * (MODE_MAX_STEP / norm)
+        step = step * 0.25**fails
+        g_new = g_of(v + step)
+        if g_new >= g - 1e-12 * (1.0 + abs(g)):
+            v = v + step
+            g = g_new
+            fails = 0
+        else:
+            fails += 1
+    grad, H = grad_and_curvature(v)
     if np.linalg.norm(grad) < MODE_GRAD_ESCAPE:
         return v, H
     raise ModeFindingError("reference cluster mode did not converge")
@@ -459,15 +458,13 @@ class TestStackedLaplaceSolver:
 
 
 class TestDampedNewton:
-    """The shared mode iteration on three separable quadratics.
-
-    Clusters 1 and 2 maximize -(v - c)^2 / 2.  Cluster 0 reports the
-    gradient ``stuck_grad`` but no candidate step ever raises its
-    exponent above the start's, so it stalls.
-    """
+    """The shared mode iteration on separable clusters."""
 
     @staticmethod
     def solve(stuck_grad):
+        """Three clusters: 1 and 2 maximize -(v - c)^2 / 2.  Cluster 0
+        reports the gradient ``stuck_grad`` but no candidate step ever
+        raises its exponent above the start's, so it stalls."""
         centre = np.array([0.0, 1.5, -2.0])
 
         def state(v):
@@ -477,11 +474,41 @@ class TestDampedNewton:
             grad[0] = stuck_grad
             return g, grad, np.ones(3), np.abs(grad)
 
-        def newton_step(grad, hess, lam):
-            return grad / (hess + lam)
+        def newton_step(grad, hess):
+            return grad / hess
 
         zero = np.zeros(3)
         return likelihood._damped_newton(state, newton_step, zero, state(zero)[0])
+
+    @staticmethod
+    def passes(centre, scale):
+        """``state`` passes to maximize -log cosh(v - centre) per cluster from zero.
+
+        Each cluster hands the driver ``scale`` times its true curvature:
+        at 1 its full Newton steps overshoot far from the maximum until
+        damped, at 2 they fall half short and the cluster takes many.
+        """
+        calls = []
+
+        def state(v):
+            calls.append(v)
+            grad = np.tanh(centre - v)
+            return -np.log(np.cosh(centre - v)), grad, scale * (1.0 - grad**2), np.abs(grad)
+
+        zero = np.zeros(centre.size)
+        v = likelihood._damped_newton(state, lambda grad, hess: grad / hess, zero, state(zero)[0])[0]
+        assert v == pytest.approx(centre, abs=MODE_GRAD_TOL_V)
+        return len(calls) - 1
+
+    def test_no_cluster_waits_for_another_s_retries(self):
+        # Cluster 0's first Newton step, sinh(6) / 2, is rejected at full,
+        # quarter and sixteenth length; cluster 1 takes every step it is
+        # given.  The joint solve is as long as the slower cluster's alone.
+        centre, scale = np.array([3.0, 1.0]), np.array([1.0, 2.0])
+        damped = self.passes(centre[:1], scale[:1])
+        slow = self.passes(centre[1:], scale[1:])
+        assert damped < slow
+        assert self.passes(centre, scale) == slow
 
     def test_stalled_cluster_leaves_the_others_converging(self):
         v, g, hess = self.solve(0.1 * MODE_GRAD_ESCAPE)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -602,6 +604,21 @@ class TestFit:
         default = fit(data, FitOptions(method="mspl", quadrature=20))
         assert result.converged and default.converged
         assert result.penalized == pytest.approx(default.penalized, abs=1e-12)
+
+    def test_far_start_leaks_no_warning(self):
+        # This fit does not end on its last evaluated theta, so the
+        # log-likelihood at the estimate takes one more mode solve, whose
+        # overflows fit's warning filter must cover.
+        rng = np.random.default_rng([77, 60])
+        X = np.column_stack([np.ones(16), rng.normal(size=(16, 1))])
+        rng.integers(0, 2, 16)  # coin flips, drawn but replaced by separated responses
+        data = ClusteredDataset((X[:, 1] > 0).astype(float), X, np.ones((16, 1)), [4, 4, 4, 4])
+        rng.normal(size=(3, 3))  # the norm-30, 100 and 300 directions, drawn first
+        v = rng.normal(size=3)
+        start = Theta.from_vector(1000 * v / np.linalg.norm(v), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit(data, FitOptions(method="mspl", quadrature=20, start=start))
 
     def test_parameter_names(self):
         data = make_dataset(k=2, n_i=4, p=2, q=2, seed=0)
