@@ -34,7 +34,7 @@ Every cluster's mode comes from one damped-Newton loop
 (``_damped_newton``).  Each scale gives it only its own state (exponent,
 score, curvature and gradient norm, from one pass over the rows) and
 Newton step: a clipped scalar step at q = 1, a batched solve with a
-capped norm at q >= 2.  The driver owns the damping, a step fraction
+capped norm at q >= 2.  The loop owns the damping, a step fraction
 of 4^-r after r rejected candidates in a row, and each cluster stops on
 its own, once converged or once stalled at machine precision.
 

@@ -484,7 +484,7 @@ class TestDampedNewton:
     def passes(centre, scale):
         """``state`` passes to maximize -log cosh(v - centre) per cluster from zero.
 
-        Each cluster hands the driver ``scale`` times its true curvature:
+        Each cluster hands the loop ``scale`` times its true curvature:
         at 1 its full Newton steps overshoot far from the maximum until
         damped, at 2 they fall half short and the cluster takes many.
         """
